@@ -28,6 +28,7 @@ use lbcore::AlphaShift;
 use netpkt::{Addresses, MacAddr, Packet, TcpFlags, TcpHeader};
 use netsim::fault::ImpairmentConfig;
 use netsim::{Ctx, Duration, LinkConfig, LinkId, Node, SimStats, Simulation, Time, TimerToken};
+use telemetry::json;
 
 /// Version of the `BENCH_perf.json` schema this harness emits.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -394,7 +395,7 @@ fn run_multilb_bench(sim_ms: u64, seed: u64) -> (u64, SimStats) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON: hand-rolled writer + parser (the workspace vendors no serde).
+// JSON, through the workspace codec (`telemetry::json`).
 
 impl BenchReport {
     /// Serialises the report as the `BENCH_perf.json` document.
@@ -407,7 +408,7 @@ impl BenchReport {
         out.push_str("  \"scenarios\": [\n");
         for (i, s) in self.scenarios.iter().enumerate() {
             out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": {},\n", json_string(&s.name)));
+            out.push_str(&format!("      \"name\": {},\n", json::Str(&s.name)));
             out.push_str(&format!("      \"seed\": {},\n", s.seed));
             out.push_str(&format!("      \"sim_ms\": {},\n", s.sim_ms));
             out.push_str(&format!("      \"events\": {},\n", s.events));
@@ -437,30 +438,30 @@ impl BenchReport {
 
     /// Parses a `BENCH_perf.json` document (round-trip of [`Self::to_json`]).
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let root = parse_json(text)?;
-        let schema_version = root.get_u64("schema_version")? as u32;
+        let root = json::parse(text)?;
+        let schema_version = root.uint("schema_version")?;
         if schema_version != SCHEMA_VERSION {
             return Err(format!(
                 "schema_version {schema_version} != supported {SCHEMA_VERSION}"
             ));
         }
-        let bench_alloc = root.get_bool("bench_alloc")?;
-        let quick = root.get_bool("quick")?;
+        let bench_alloc = root.bool("bench_alloc")?;
+        let quick = root.bool("quick")?;
         let mut scenarios = Vec::new();
-        for item in root.get_arr("scenarios")? {
+        for item in root.arr("scenarios")? {
             scenarios.push(ScenarioResult {
-                name: item.get_str("name")?,
-                seed: item.get_u64("seed")?,
-                sim_ms: item.get_u64("sim_ms")?,
-                events: item.get_u64("events")?,
-                packets: item.get_u64("packets")?,
-                timers: item.get_u64("timers")?,
-                wall_ns: item.get_u64("wall_ns")?,
-                events_per_sec: item.get_f64("events_per_sec")?,
-                sim_packets_per_sec: item.get_f64("sim_packets_per_sec")?,
-                peak_rss_kb: item.get_u64("peak_rss_kb")?,
-                alloc_count: item.get_u64("alloc_count")?,
-                alloc_bytes: item.get_u64("alloc_bytes")?,
+                name: item.str("name")?.to_string(),
+                seed: item.uint("seed")?,
+                sim_ms: item.uint("sim_ms")?,
+                events: item.uint("events")?,
+                packets: item.uint("packets")?,
+                timers: item.uint("timers")?,
+                wall_ns: item.uint("wall_ns")?,
+                events_per_sec: item.f64("events_per_sec")?,
+                sim_packets_per_sec: item.f64("sim_packets_per_sec")?,
+                peak_rss_kb: item.uint("peak_rss_kb")?,
+                alloc_count: item.uint("alloc_count")?,
+                alloc_bytes: item.uint("alloc_bytes")?,
             });
         }
         Ok(BenchReport {
@@ -469,236 +470,6 @@ impl BenchReport {
             quick,
             scenarios,
         })
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A parsed JSON value — just enough structure for the report schema.
-enum Json {
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Result<&'a Json, String> {
-        match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing key '{key}'")),
-            _ => Err(format!("looked up '{key}' in a non-object")),
-        }
-    }
-
-    fn get_u64(&self, key: &str) -> Result<u64, String> {
-        match self.get(key)? {
-            Json::Num(n) if *n >= 0.0 => Ok(*n as u64),
-            _ => Err(format!("'{key}' is not a non-negative number")),
-        }
-    }
-
-    fn get_f64(&self, key: &str) -> Result<f64, String> {
-        match self.get(key)? {
-            Json::Num(n) => Ok(*n),
-            _ => Err(format!("'{key}' is not a number")),
-        }
-    }
-
-    fn get_bool(&self, key: &str) -> Result<bool, String> {
-        match self.get(key)? {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(format!("'{key}' is not a bool")),
-        }
-    }
-
-    fn get_str(&self, key: &str) -> Result<String, String> {
-        match self.get(key)? {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err(format!("'{key}' is not a string")),
-        }
-    }
-
-    fn get_arr<'a>(&'a self, key: &str) -> Result<&'a [Json], String> {
-        match self.get(key)? {
-            Json::Arr(items) => Ok(items),
-            _ => Err(format!("'{key}' is not an array")),
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => parse_str(bytes, pos).map(Json::Str),
-        Some(b't') => parse_lit(bytes, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(_) => parse_num(bytes, pos),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("expected '{lit}' at byte {}", *pos))
-    }
-}
-
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let text = core::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| format!("invalid utf8 in number at byte {start}"))?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number '{text}' at byte {start}"))
-}
-
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    *pos += 1; // opening quote
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| core::str::from_utf8(h).ok())
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape '{hex}'"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err("bad string escape".to_string()),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar starting here.
-                let rest = core::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid utf8 in string".to_string())?;
-                if let Some(c) = rest.chars().next() {
-                    out.push(c);
-                    *pos += c.len_utf8();
-                } else {
-                    return Err("unterminated string".to_string());
-                }
-            }
-        }
-    }
-}
-
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // '{'
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
-        }
-        let key = parse_str(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
     }
 }
 
@@ -723,7 +494,8 @@ mod tests {
                 sim_packets_per_sec: 8_571_428.6,
                 peak_rss_kb: 10_240,
                 alloc_count: 0,
-                alloc_bytes: 0,
+                // 2^53 + 1: exact only if integers never pass through f64.
+                alloc_bytes: (1 << 53) + 1,
             }],
         }
     }
@@ -745,7 +517,35 @@ mod tests {
         assert_eq!(a.timers, b.timers);
         assert_eq!(a.wall_ns, b.wall_ns);
         assert_eq!(a.peak_rss_kb, b.peak_rss_kb);
+        assert_eq!(a.alloc_bytes, b.alloc_bytes);
         assert!((a.events_per_sec - b.events_per_sec).abs() < 0.2);
+    }
+
+    #[test]
+    fn json_layout_is_pinned() {
+        let expected = r#"{
+  "schema_version": 1,
+  "bench_alloc": false,
+  "quick": true,
+  "scenarios": [
+    {
+      "name": "netsim_churn",
+      "seed": 42,
+      "sim_ms": 50,
+      "events": 123456,
+      "packets": 60000,
+      "timers": 63456,
+      "wall_ns": 7000000,
+      "events_per_sec": 17636571.4,
+      "sim_packets_per_sec": 8571428.6,
+      "peak_rss_kb": 10240,
+      "alloc_count": 0,
+      "alloc_bytes": 9007199254740993
+    }
+  ]
+}
+"#;
+        assert_eq!(sample_report().to_json(), expected);
     }
 
     #[test]
@@ -754,6 +554,8 @@ mod tests {
         assert!(BenchReport::from_json("{}").is_err());
         assert!(BenchReport::from_json("{\"schema_version\": 999}").is_err());
         assert!(BenchReport::from_json("[1, 2").is_err());
+        // Nesting is bounded: deep input is an error, not a stack overflow.
+        assert!(BenchReport::from_json(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

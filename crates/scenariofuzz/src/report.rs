@@ -1,7 +1,9 @@
-//! The campaign report: hand-rolled JSON (house style — no serde),
-//! deliberately free of wall-clock timestamps so two runs of the same
-//! seed range produce byte-identical files (the CLI's determinism
-//! acceptance check diffs them directly).
+//! The campaign report: JSON written through the workspace codec
+//! (`telemetry::json`), deliberately free of wall-clock timestamps so
+//! two runs of the same seed range produce byte-identical files (the
+//! CLI's determinism acceptance check diffs them directly).
+
+use telemetry::json;
 
 use crate::runner::Outcome;
 use crate::scenario::Scenario;
@@ -27,7 +29,7 @@ pub fn campaign_json(from: u64, to: u64, results: &[SeedResult]) -> String {
         .count();
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": {},\n", json_str(SCHEMA)));
+    out.push_str(&format!("  \"schema\": {},\n", json::Str(SCHEMA)));
     out.push_str(&format!(
         "  \"seeds\": {{ \"from\": {from}, \"to\": {to} }},\n"
     ));
@@ -84,31 +86,11 @@ fn seed_json(r: &SeedResult, indent: &str) -> String {
         }
         out.push_str(&format!(
             "{{ \"invariant\": {}, \"detail\": {} }}",
-            json_str(v.invariant),
-            json_str(&v.detail)
+            json::Str(v.invariant),
+            json::Str(&v.detail)
         ));
     }
     out.push_str("] }");
-    out
-}
-
-/// Minimal JSON string escaper (same dialect as the journal writer:
-/// quotes, backslashes, and control characters).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -165,9 +147,18 @@ mod tests {
 
     #[test]
     fn escaper_handles_quotes_and_control_chars() {
-        assert_eq!(json_str("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_str("a\\b"), "\"a\\\\b\"");
-        assert_eq!(json_str("a\nb"), "\"a\\nb\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        let detail = "a\"b\\c\nd\u{1}";
+        let json = campaign_json(
+            0,
+            1,
+            &[fake_result(
+                0,
+                vec![Violation {
+                    invariant: "determinism",
+                    detail: detail.into(),
+                }],
+            )],
+        );
+        assert!(json.contains(r#""detail": "a\"b\\c\nd\u0001""#), "{json}");
     }
 }

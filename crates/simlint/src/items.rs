@@ -269,7 +269,7 @@ fn parse_struct(
         } else if t.is_punct("{") && angle == 0 {
             let close = skip_balanced(toks, j, end, "{", "}");
             body = Some(j + 1..close.saturating_sub(1));
-            fields = parse_fields(toks, j + 1..close.saturating_sub(1));
+            fields = parse_struct_fields(toks, j + 1..close.saturating_sub(1));
             j = close;
             break;
         } else if t.is_punct(";") && angle == 0 {
@@ -292,7 +292,7 @@ fn parse_struct(
 }
 
 /// Parses the named fields of a struct body token range.
-fn parse_fields(toks: &[Tok], range: Range<usize>) -> Vec<Field> {
+fn parse_struct_fields(toks: &[Tok], range: Range<usize>) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut i = range.start;
     let end = range.end;

@@ -27,6 +27,7 @@ pub mod token;
 use config::Config;
 use index::SymbolIndex;
 use rules::{Severity, Violation};
+use telemetry::json::Str;
 
 /// Runs every rule over `(path, text)` pairs: builds the symbol index
 /// in one pass, applies the per-file rules, then the cross-file
@@ -51,22 +52,6 @@ pub fn gates(violations: &[Violation]) -> bool {
         .any(|v| v.severity == Severity::Deny || !v.baselined)
 }
 
-/// Escapes a string for embedding in a JSON literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the findings as a JSON array (one object per finding, with
 /// rule, family, severity, position, message, fix hint, snippet, and
 /// whether the baseline covers it).
@@ -75,18 +60,18 @@ pub fn render_json(violations: &[Violation]) -> String {
     for (i, v) in violations.iter().enumerate() {
         let comma = if i + 1 < violations.len() { "," } else { "" };
         out.push_str(&format!(
-            "  {{\"rule\":\"{}\",\"family\":\"{}\",\"severity\":\"{}\",\"path\":\"{}\",\
-             \"line\":{},\"col\":{},\"message\":\"{}\",\"hint\":\"{}\",\"snippet\":\"{}\",\
+            "  {{\"rule\":\"{}\",\"family\":\"{}\",\"severity\":\"{}\",\"path\":{},\
+             \"line\":{},\"col\":{},\"message\":{},\"hint\":{},\"snippet\":{},\
              \"baselined\":{}}}{comma}\n",
             v.rule,
             v.family,
             v.severity.as_str(),
-            json_escape(&v.path),
+            Str(&v.path),
             v.line,
             v.col,
-            json_escape(&v.msg),
-            json_escape(v.hint),
-            json_escape(&v.snippet),
+            Str(&v.msg),
+            Str(v.hint),
+            Str(&v.snippet),
             v.baselined
         ));
     }
@@ -143,7 +128,24 @@ mod tests {
 
     #[test]
     fn json_escaping_is_valid() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let v = Violation {
+            rule: "D1",
+            family: "determinism",
+            severity: Severity::Deny,
+            path: "a\"b\\c\nd.rs".into(),
+            line: 1,
+            col: 2,
+            msg: "tab\there".into(),
+            hint: "fix",
+            snippet: "\u{1}".into(),
+            baselined: false,
+        };
+        let json = render_json(&[v]);
+        assert!(json.contains(r#""path":"a\"b\\c\nd.rs""#), "{json}");
+        let item = telemetry::json::parse(&json).unwrap().as_arr().unwrap()[0].clone();
+        assert_eq!(item.str("path").unwrap(), "a\"b\\c\nd.rs");
+        assert_eq!(item.str("message").unwrap(), "tab\there");
+        assert_eq!(item.str("snippet").unwrap(), "\u{1}");
     }
 
     #[test]

@@ -3,18 +3,20 @@
 //! ensemble epoch decisions, weight shifts, health transitions, gossip
 //! merges, ECMP shard remaps, and flow re-pins.
 //!
-//! Events are exportable as NDJSON (one flat JSON object per line) via a
-//! hand-rolled writer, and re-loadable via the line parser in this module,
-//! so analyzers never need a serde dependency. Emission is deterministic:
-//! timestamps are simulation time, never wall clock, and the writer's
-//! float formatting is the shortest round-trip representation, so the
-//! same seed produces byte-identical NDJSON.
+//! Events are exportable as NDJSON (one flat JSON object per line) and
+//! re-loadable by [`parse_ndjson`], both through the workspace codec
+//! ([`crate::json`]). Emission is deterministic: timestamps are
+//! simulation time, never wall clock, and floats are written in their
+//! shortest round-trip form, so the same seed produces byte-identical
+//! NDJSON.
 //!
 //! The journal doubles as the **flight recorder**: in [`JournalMode::Ring`]
 //! it keeps only the last N events, cheap enough to leave on in chaos
 //! runs, and [`Journal::to_ndjson`] dumps the retained causal history
 //! when something goes wrong (invariant violation, `no_backend` drop,
 //! test failure).
+
+use crate::json;
 
 /// What the journal retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,62 +300,10 @@ impl Journal {
     }
 }
 
-fn push_u64(out: &mut String, key: &str, v: u64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&v.to_string());
-}
-
-fn push_f64(out: &mut String, key: &str, v: f64) {
-    out.push('"');
-    out.push_str(key);
-    // `{:?}` is the shortest representation that round-trips through
-    // `str::parse::<f64>()`, which is what makes journal-derived metrics
-    // bit-exact against the live experiment.
-    out.push_str(&format!("\":{v:?}"));
-}
-
-fn push_str(out: &mut String, key: &str, v: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    out.push_str(v);
-    out.push('"');
-}
-
-fn push_u64_arr(out: &mut String, key: &str, vs: &[u64]) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":[");
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
-
-fn push_f64_arr(out: &mut String, key: &str, vs: &[f64]) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":[");
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{v:?}"));
-    }
-    out.push(']');
-}
-
 /// Append one event as a single flat JSON object (no trailing newline).
 pub fn write_event(out: &mut String, ev: &JournalEvent) {
-    out.push('{');
-    push_u64(out, "at", ev.at());
-    out.push(',');
-    push_str(out, "ev", ev.kind());
+    let mut o = json::Obj::open(out);
+    o.u64("at", ev.at()).str("ev", ev.kind());
     match ev {
         JournalEvent::Sample {
             backend,
@@ -363,16 +313,11 @@ pub fn write_event(out: &mut String, ev: &JournalEvent) {
             t_lb,
             ..
         } => {
-            out.push(',');
-            push_u64(out, "backend", *backend as u64);
-            out.push(',');
-            push_u64(out, "src_ip", u64::from(*src_ip));
-            out.push(',');
-            push_u64(out, "src_port", u64::from(*src_port));
-            out.push(',');
-            push_u64(out, "delta", *delta);
-            out.push(',');
-            push_u64(out, "t_lb", *t_lb);
+            o.u64("backend", *backend as u64)
+                .u64("src_ip", u64::from(*src_ip))
+                .u64("src_port", u64::from(*src_port))
+                .u64("delta", *delta)
+                .u64("t_lb", *t_lb);
         }
         JournalEvent::EpochDecision {
             backend,
@@ -381,14 +326,10 @@ pub fn write_event(out: &mut String, ev: &JournalEvent) {
             delta,
             ..
         } => {
-            out.push(',');
-            push_u64(out, "backend", *backend as u64);
-            out.push(',');
-            push_u64_arr(out, "counts", counts);
-            out.push(',');
-            push_u64(out, "chosen", *chosen as u64);
-            out.push(',');
-            push_u64(out, "delta", *delta);
+            o.u64("backend", *backend as u64)
+                .u64s("counts", counts)
+                .u64("chosen", *chosen as u64)
+                .u64("delta", *delta);
         }
         JournalEvent::WeightUpdate {
             cause,
@@ -397,17 +338,12 @@ pub fn write_event(out: &mut String, ev: &JournalEvent) {
             weights,
             ..
         } => {
-            out.push(',');
-            push_str(out, "cause", cause.as_str());
-            out.push(',');
+            o.str("cause", cause.as_str());
             match victim {
-                Some(v) => push_u64(out, "victim", *v as u64),
-                None => out.push_str("\"victim\":null"),
-            }
-            out.push(',');
-            push_f64(out, "moved", *moved);
-            out.push(',');
-            push_f64_arr(out, "weights", weights);
+                Some(v) => o.u64("victim", *v as u64),
+                None => o.null("victim"),
+            };
+            o.f64("moved", *moved).f64s("weights", weights);
         }
         JournalEvent::HealthTransition {
             backend,
@@ -416,24 +352,17 @@ pub fn write_event(out: &mut String, ev: &JournalEvent) {
             trigger,
             ..
         } => {
-            out.push(',');
-            push_u64(out, "backend", *backend as u64);
-            out.push(',');
-            push_str(out, "from", from);
-            out.push(',');
-            push_str(out, "to", to);
-            out.push(',');
-            push_str(out, "trigger", trigger);
+            o.u64("backend", *backend as u64)
+                .str("from", from)
+                .str("to", to)
+                .str("trigger", trigger);
         }
         JournalEvent::GossipMerge {
             mix, before, after, ..
         } => {
-            out.push(',');
-            push_f64(out, "mix", *mix);
-            out.push(',');
-            push_f64_arr(out, "before", before);
-            out.push(',');
-            push_f64_arr(out, "after", after);
+            o.f64("mix", *mix)
+                .f64s("before", before)
+                .f64s("after", after);
         }
         JournalEvent::FlowRepin {
             src_ip,
@@ -442,284 +371,58 @@ pub fn write_event(out: &mut String, ev: &JournalEvent) {
             to,
             ..
         } => {
-            out.push(',');
-            push_u64(out, "src_ip", u64::from(*src_ip));
-            out.push(',');
-            push_u64(out, "src_port", u64::from(*src_port));
-            out.push(',');
-            push_u64(out, "from", *from as u64);
-            out.push(',');
-            push_u64(out, "to", *to as u64);
+            o.u64("src_ip", u64::from(*src_ip))
+                .u64("src_port", u64::from(*src_port))
+                .u64("from", *from as u64)
+                .u64("to", *to as u64);
         }
         JournalEvent::NoBackend { .. } => {}
         JournalEvent::ShardRemap {
             dst, before, after, ..
         } => {
-            out.push(',');
-            push_u64(out, "dst", u64::from(*dst));
-            out.push(',');
-            push_u64_arr(out, "before", before);
-            out.push(',');
-            push_u64_arr(out, "after", after);
+            o.u64("dst", u64::from(*dst))
+                .u64s("before", before)
+                .u64s("after", after);
         }
     }
-    out.push('}');
+    o.close();
 }
 
-/// Flat per-line JSON value: the journal wire format only needs numbers,
-/// strings, null, and numeric arrays. Numbers keep their raw lexeme so
-/// integer fields parse exactly — routing a u64 through f64 would
-/// silently round timestamps and deltas above 2^53.
-#[derive(Debug, Clone)]
-enum Val {
-    Num(String),
-    Str(String),
-    Null,
-    Arr(Vec<String>),
-}
-
-fn lex_u64(raw: &str) -> Result<u64, String> {
-    // Written u64s are plain digit runs; tolerate float-shaped tokens
-    // (e.g. from hand-edited captures) via the f64 path.
-    raw.parse::<u64>()
-        .or_else(|_| raw.parse::<f64>().map(|v| v as u64))
-        .map_err(|e| format!("bad integer {raw:?}: {e}"))
-}
-
-fn lex_f64(raw: &str) -> Result<f64, String> {
-    raw.parse::<f64>()
-        .map_err(|e| format!("bad number {raw:?}: {e}"))
-}
-
-struct Fields {
-    pairs: Vec<(String, Val)>,
-}
-
-impl Fields {
-    fn get(&self, key: &str) -> Result<&Val, String> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, String> {
-        match self.get(key)? {
-            Val::Num(raw) => lex_u64(raw).map_err(|e| format!("field {key:?}: {e}")),
-            v => Err(format!("field {key:?}: expected number, got {v:?}")),
-        }
-    }
-
-    fn usize(&self, key: &str) -> Result<usize, String> {
-        Ok(self.u64(key)? as usize)
-    }
-
-    fn f64(&self, key: &str) -> Result<f64, String> {
-        match self.get(key)? {
-            Val::Num(raw) => lex_f64(raw).map_err(|e| format!("field {key:?}: {e}")),
-            v => Err(format!("field {key:?}: expected number, got {v:?}")),
-        }
-    }
-
-    fn str(&self, key: &str) -> Result<&str, String> {
-        match self.get(key)? {
-            Val::Str(s) => Ok(s),
-            v => Err(format!("field {key:?}: expected string, got {v:?}")),
-        }
-    }
-
-    fn f64_arr(&self, key: &str) -> Result<Vec<f64>, String> {
-        match self.get(key)? {
-            Val::Arr(a) => a
-                .iter()
-                .map(|raw| lex_f64(raw).map_err(|e| format!("field {key:?}: {e}")))
-                .collect(),
-            v => Err(format!("field {key:?}: expected array, got {v:?}")),
-        }
-    }
-
-    fn u64_arr(&self, key: &str) -> Result<Vec<u64>, String> {
-        match self.get(key)? {
-            Val::Arr(a) => a
-                .iter()
-                .map(|raw| lex_u64(raw).map_err(|e| format!("field {key:?}: {e}")))
-                .collect(),
-            v => Err(format!("field {key:?}: expected array, got {v:?}")),
-        }
-    }
-
-    fn opt_usize(&self, key: &str) -> Result<Option<usize>, String> {
-        match self.get(key)? {
-            Val::Null => Ok(None),
-            Val::Num(raw) => lex_u64(raw)
-                .map(|v| Some(v as usize))
-                .map_err(|e| format!("field {key:?}: {e}")),
-            v => Err(format!("field {key:?}: expected number|null, got {v:?}")),
-        }
-    }
-}
-
-fn parse_fields(line: &str) -> Result<Fields, String> {
-    let bytes = line.as_bytes();
-    let mut i = 0usize;
-    let err = |msg: &str, at: usize| format!("{msg} at byte {at}");
-    let skip_ws = |i: &mut usize| {
-        while bytes.get(*i).is_some_and(|b| b.is_ascii_whitespace()) {
-            *i += 1;
-        }
-    };
-    skip_ws(&mut i);
-    if bytes.get(i) != Some(&b'{') {
-        return Err(err("expected '{'", i));
-    }
-    i += 1;
-    let mut pairs = Vec::new();
-    skip_ws(&mut i);
-    if bytes.get(i) == Some(&b'}') {
-        return Ok(Fields { pairs });
-    }
-    loop {
-        skip_ws(&mut i);
-        let key = parse_string(bytes, &mut i)?;
-        skip_ws(&mut i);
-        if bytes.get(i) != Some(&b':') {
-            return Err(err("expected ':'", i));
-        }
-        i += 1;
-        skip_ws(&mut i);
-        let val = parse_val(bytes, &mut i)?;
-        pairs.push((key, val));
-        skip_ws(&mut i);
-        match bytes.get(i) {
-            Some(&b',') => i += 1,
-            Some(&b'}') => {
-                i += 1;
-                skip_ws(&mut i);
-                if i != bytes.len() {
-                    return Err(err("trailing bytes after object", i));
-                }
-                return Ok(Fields { pairs });
-            }
-            _ => return Err(err("expected ',' or '}'", i)),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], i: &mut usize) -> Result<String, String> {
-    if bytes.get(*i) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {}", *i));
-    }
-    *i += 1;
-    let start = *i;
-    while let Some(&b) = bytes.get(*i) {
-        if b == b'"' {
-            let s = core::str::from_utf8(&bytes[start..*i])
-                .map_err(|e| format!("invalid utf-8 in string: {e}"))?;
-            *i += 1;
-            // Journal strings are fixed wire names; no escapes to handle.
-            return Ok(s.to_string());
-        }
-        if b == b'\\' {
-            return Err(format!("unexpected escape at byte {}", *i));
-        }
-        *i += 1;
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_val(bytes: &[u8], i: &mut usize) -> Result<Val, String> {
-    match bytes.get(*i) {
-        Some(&b'"') => Ok(Val::Str(parse_string(bytes, i)?)),
-        Some(&b'n') => {
-            if bytes[*i..].starts_with(b"null") {
-                *i += 4;
-                Ok(Val::Null)
-            } else {
-                Err(format!("bad literal at byte {}", *i))
-            }
-        }
-        Some(&b'[') => {
-            *i += 1;
-            let mut arr = Vec::new();
-            loop {
-                while bytes.get(*i).is_some_and(|b| b.is_ascii_whitespace()) {
-                    *i += 1;
-                }
-                if bytes.get(*i) == Some(&b']') {
-                    *i += 1;
-                    return Ok(Val::Arr(arr));
-                }
-                arr.push(parse_num(bytes, i)?);
-                while bytes.get(*i).is_some_and(|b| b.is_ascii_whitespace()) {
-                    *i += 1;
-                }
-                match bytes.get(*i) {
-                    Some(&b',') => *i += 1,
-                    Some(&b']') => {
-                        *i += 1;
-                        return Ok(Val::Arr(arr));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", *i)),
-                }
-            }
-        }
-        Some(_) => Ok(Val::Num(parse_num(bytes, i)?)),
-        None => Err("unexpected end of line".to_string()),
-    }
-}
-
-fn parse_num(bytes: &[u8], i: &mut usize) -> Result<String, String> {
-    let start = *i;
-    while bytes
-        .get(*i)
-        .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-    {
-        *i += 1;
-    }
-    let s = core::str::from_utf8(&bytes[start..*i])
-        .map_err(|e| format!("invalid utf-8 in number: {e}"))?;
-    // Validate the shape here so malformed lines fail at the lexer with
-    // a byte offset; the typed accessors re-parse the raw lexeme.
-    s.parse::<f64>()
-        .map_err(|e| format!("bad number {s:?} at byte {start}: {e}"))?;
-    Ok(s.to_string())
-}
-
-/// Parse one NDJSON line back into an event.
+/// Parse one NDJSON line back into an event. Every field is exact:
+/// integers must fit their field's type, and floats round-trip bitwise.
 pub fn parse_event(line: &str) -> Result<JournalEvent, String> {
-    let f = parse_fields(line)?;
-    let at = f.u64("at")?;
+    let f = json::parse(line)?;
+    let at = f.uint("at")?;
     match f.str("ev")? {
         "sample" => Ok(JournalEvent::Sample {
             at,
-            backend: f.usize("backend")?,
-            src_ip: f.u64("src_ip")? as u32,
-            src_port: f.u64("src_port")? as u16,
-            delta: f.u64("delta")?,
-            t_lb: f.u64("t_lb")?,
+            backend: f.uint("backend")?,
+            src_ip: f.uint("src_ip")?,
+            src_port: f.uint("src_port")?,
+            delta: f.uint("delta")?,
+            t_lb: f.uint("t_lb")?,
         }),
         "epoch_decision" => Ok(JournalEvent::EpochDecision {
             at,
-            backend: f.usize("backend")?,
-            counts: f.u64_arr("counts")?,
-            chosen: f.usize("chosen")?,
-            delta: f.u64("delta")?,
+            backend: f.uint("backend")?,
+            counts: f.u64s("counts")?,
+            chosen: f.uint("chosen")?,
+            delta: f.uint("delta")?,
         }),
         "weight_update" => {
-            let cause = WeightCause::from_str(f.str("cause")?)
-                .ok_or_else(|| format!("unknown weight cause {:?}", f.str("cause")))?;
+            let cause = f.str("cause")?;
             Ok(JournalEvent::WeightUpdate {
                 at,
-                cause,
-                victim: f.opt_usize("victim")?,
+                cause: WeightCause::from_str(cause)
+                    .ok_or_else(|| format!("unknown weight cause {cause:?}"))?,
+                victim: f.opt_uint("victim")?,
                 moved: f.f64("moved")?,
-                weights: f.f64_arr("weights")?,
+                weights: f.f64s("weights")?,
             })
         }
         "health" => Ok(JournalEvent::HealthTransition {
             at,
-            backend: f.usize("backend")?,
+            backend: f.uint("backend")?,
             from: intern_health(f.str("from")?)?,
             to: intern_health(f.str("to")?)?,
             trigger: intern_trigger(f.str("trigger")?)?,
@@ -727,22 +430,22 @@ pub fn parse_event(line: &str) -> Result<JournalEvent, String> {
         "gossip_merge" => Ok(JournalEvent::GossipMerge {
             at,
             mix: f.f64("mix")?,
-            before: f.f64_arr("before")?,
-            after: f.f64_arr("after")?,
+            before: f.f64s("before")?,
+            after: f.f64s("after")?,
         }),
         "flow_repin" => Ok(JournalEvent::FlowRepin {
             at,
-            src_ip: f.u64("src_ip")? as u32,
-            src_port: f.u64("src_port")? as u16,
-            from: f.usize("from")?,
-            to: f.usize("to")?,
+            src_ip: f.uint("src_ip")?,
+            src_port: f.uint("src_port")?,
+            from: f.uint("from")?,
+            to: f.uint("to")?,
         }),
         "no_backend" => Ok(JournalEvent::NoBackend { at }),
         "shard_remap" => Ok(JournalEvent::ShardRemap {
             at,
-            dst: f.u64("dst")? as u32,
-            before: f.u64_arr("before")?,
-            after: f.u64_arr("after")?,
+            dst: f.uint("dst")?,
+            before: f.u64s("before")?,
+            after: f.u64s("after")?,
         }),
         other => Err(format!("unknown event kind {other:?}")),
     }
@@ -774,40 +477,13 @@ fn intern_trigger(s: &str) -> Result<&'static str, String> {
 /// Parse a full NDJSON document (blank lines skipped). Fails on the
 /// first malformed line with its 1-based line number.
 pub fn parse_ndjson(text: &str) -> Result<Vec<JournalEvent>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(parse_event(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-    }
-    Ok(out)
+    json::parse_lines(text, parse_event)
 }
 
-/// Parse a full NDJSON document, tolerating a truncated *final* line.
-///
-/// A capture cut off mid-write (killed process, partial copy, `tail`
-/// of a growing file) ends in half a line; hard-failing the whole
-/// document over it would make every in-flight capture unreadable.
-/// This variant drops a malformed final non-blank line and reports the
-/// drop via the returned flag instead. Malformed lines anywhere *else*
-/// are still errors — interior corruption is not truncation, and
-/// silently skipping it would let analyses run on a journal with holes.
+/// Parse a full NDJSON document, dropping (and flagging) a truncated
+/// final line; see [`json::parse_lines_lossy`].
 pub fn parse_ndjson_lossy(text: &str) -> Result<(Vec<JournalEvent>, bool), String> {
-    let lines: Vec<(usize, &str)> = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .collect();
-    let mut out = Vec::with_capacity(lines.len());
-    for (pos, &(lineno, line)) in lines.iter().enumerate() {
-        match parse_event(line) {
-            Ok(ev) => out.push(ev),
-            Err(_) if pos + 1 == lines.len() => return Ok((out, true)),
-            Err(e) => return Err(format!("line {}: {e}", lineno + 1)),
-        }
-    }
-    Ok((out, false))
+    json::parse_lines_lossy(text, parse_event)
 }
 
 #[cfg(test)]
@@ -987,6 +663,19 @@ mod tests {
         assert!(parse_ndjson("not json").is_err());
         let err = parse_ndjson("{\"at\":1,\"ev\":\"no_backend\"}\nnope").unwrap_err();
         assert!(err.starts_with("line 2"), "{err}");
+        // Numbers that do not fit their field are errors, not wraps,
+        // saturations or truncations.
+        assert!(parse_event("{\"at\":-1,\"ev\":\"no_backend\"}").is_err());
+        assert!(parse_event("{\"at\":1e30,\"ev\":\"no_backend\"}").is_err());
+        let flow = |port: &str, backend: &str| {
+            format!(
+                "{{\"at\":1,\"ev\":\"sample\",\"backend\":{backend},\"src_ip\":1,\
+                 \"src_port\":{port},\"delta\":2,\"t_lb\":3}}"
+            )
+        };
+        assert!(parse_event(&flow("65535", "0")).is_ok());
+        assert!(parse_event(&flow("70000", "0")).is_err());
+        assert!(parse_event(&flow("1", "-1")).is_err());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 pub mod histogram;
 pub mod journal;
+pub mod json;
 pub mod percentile;
 pub mod registry;
 pub mod span;

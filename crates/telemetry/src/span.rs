@@ -17,6 +17,8 @@
 //! cannot change the packet schedule, and two runs with the same seed
 //! produce byte-identical NDJSON and equal [`digest`]s.
 
+use crate::json;
+
 /// What the span log retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanMode {
@@ -369,61 +371,22 @@ pub fn to_ndjson(records: &[HopRecord]) -> String {
 
 /// Parse one NDJSON line back into a hop record.
 pub fn parse_hop(line: &str) -> Result<HopRecord, String> {
-    // The span wire format is a fixed six-field object written by
-    // `write_hop`; parse positionally but verify every key.
-    let take = |rest: &str, key: &str| -> Result<(String, String), String> {
-        let rest = rest
-            .strip_prefix(&format!("\"{key}\":"))
-            .ok_or_else(|| format!("expected field {key:?}"))?;
-        let end = rest
-            .find([',', '}'])
-            .ok_or_else(|| format!("unterminated field {key:?}"))?;
-        Ok((rest[..end].to_string(), rest[end + 1..].to_string()))
-    };
-    let num = |raw: &str, key: &str| -> Result<u64, String> {
-        raw.parse::<u64>()
-            .map_err(|e| format!("field {key:?}: bad integer {raw:?}: {e}"))
-    };
-    let line = line.trim();
-    let rest = line
-        .strip_prefix('{')
-        .ok_or_else(|| "expected '{'".to_string())?;
-    let rest = rest.strip_suffix('}').unwrap_or(rest);
-    // strip_suffix removed '}' so `take` relies on ',' separators plus a
-    // final unterminated field; re-append a ',' sentinel for uniformity.
-    let rest = format!("{rest},");
-    let (at, rest) = take(&rest, "at")?;
-    let (trace, rest) = take(&rest, "trace")?;
-    let (hop, rest) = take(&rest, "hop")?;
-    let (node, rest) = take(&rest, "node")?;
-    let (a, rest) = take(&rest, "a")?;
-    let (b, _) = take(&rest, "b")?;
-    let hop = hop
-        .strip_prefix('"')
-        .and_then(|h| h.strip_suffix('"'))
-        .ok_or_else(|| format!("field \"hop\": expected string, got {hop:?}"))?;
-    let kind = HopKind::from_str(hop).ok_or_else(|| format!("unknown hop kind {hop:?}"))?;
+    let v = json::parse(line)?;
+    let hop = v.str("hop")?;
     Ok(HopRecord {
-        at: num(&at, "at")?,
-        trace: num(&trace, "trace")?,
-        kind,
-        node: num(&node, "node")? as u32,
-        a: num(&a, "a")?,
-        b: num(&b, "b")?,
+        at: v.uint("at")?,
+        trace: v.uint("trace")?,
+        kind: HopKind::from_str(hop).ok_or_else(|| format!("unknown hop kind {hop:?}"))?,
+        node: v.uint("node")?,
+        a: v.uint("a")?,
+        b: v.uint("b")?,
     })
 }
 
 /// Parse a full NDJSON document (blank lines skipped). Fails on the
 /// first malformed line with its 1-based line number.
 pub fn parse_ndjson(text: &str) -> Result<Vec<HopRecord>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(parse_hop(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-    }
-    Ok(out)
+    json::parse_lines(text, parse_hop)
 }
 
 /// One request's assembled hop records, in canonical order.
@@ -664,6 +627,12 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.starts_with("line 2"), "{err}");
+        // A node id past u32 is an error, not a silent truncation.
+        let node = |n: &str| {
+            format!("{{\"at\":1,\"trace\":2,\"hop\":\"tcp_ack\",\"node\":{n},\"a\":0,\"b\":0}}")
+        };
+        assert_eq!(parse_hop(&node("4294967295")).unwrap().node, u32::MAX);
+        assert!(parse_hop(&node("4294967296")).is_err());
     }
 
     #[test]

@@ -2,7 +2,24 @@
 
 use proptest::prelude::*;
 
+use telemetry::json;
 use telemetry::{exact_percentile, BinnedSeries, LogHistogram, P2Quantile, ScalarSeries};
+
+/// A string over the whole char range, weighted toward the characters
+/// the JSON escaper treats specially (quotes, backslashes, C0 controls)
+/// and toward non-ASCII. Surrogate code points (no `char`) are skipped.
+fn arbitrary_string(codes: Vec<u32>) -> String {
+    codes
+        .into_iter()
+        .filter_map(|c| match c % 4 {
+            0 => char::from_u32((c >> 2) % 0x20),
+            1 => {
+                Some(['"', '\\', '/', 'a', 'é', '\u{7f}', '\u{2028}', '😀'][(c >> 2) as usize % 8])
+            }
+            _ => char::from_u32((c >> 2) % 0x11_0000),
+        })
+        .collect()
+}
 
 proptest! {
     /// The log histogram's quantiles stay within its design relative error
@@ -129,5 +146,36 @@ proptest! {
             let expect = pts.iter().rev().find(|&&(pt, _)| pt <= q).map(|&(_, v)| v);
             prop_assert_eq!(s.value_at(q), expect);
         }
+    }
+
+    /// The JSON codec: writing a string and parsing it back is the
+    /// identity, as a value and as an object key.
+    #[test]
+    fn json_string_round_trips(codes in proptest::collection::vec(any::<u32>(), 0..40)) {
+        let s = arbitrary_string(codes);
+        let mut doc = String::new();
+        json::Obj::open(&mut doc).str(&s, &s).close();
+        let v = json::parse(&doc).map_err(proptest::test_runner::TestCaseError::fail)?;
+        prop_assert_eq!(v.str(&s), Ok(s.as_str()), "doc: {}", doc);
+    }
+
+    /// Any u64 survives the codec exactly (never through f64).
+    #[test]
+    fn json_u64_round_trips(v in any::<u64>()) {
+        let mut doc = String::new();
+        json::Obj::open(&mut doc).u64("v", v).close();
+        prop_assert_eq!(json::parse(&doc).and_then(|x| x.uint::<u64>("v")), Ok(v));
+    }
+
+    /// Any finite f64 bit pattern survives the codec bitwise.
+    #[test]
+    fn json_f64_round_trips_bitwise(bits in any::<u64>()) {
+        let v = f64::from_bits(bits);
+        // Non-finite values have no JSON form: clear the exponent.
+        let v = if v.is_finite() { v } else { f64::from_bits(bits & !(0x7ff << 52)) };
+        let mut doc = String::new();
+        json::Obj::open(&mut doc).f64s("v", &[v]).close();
+        let back = json::parse(&doc).and_then(|x| x.f64s("v"));
+        prop_assert_eq!(back.map(|b| b[0].to_bits()), Ok(v.to_bits()), "doc: {}", doc);
     }
 }

@@ -28,6 +28,13 @@ cargo test -q -p simlint
 echo "==> cargo build --release"
 cargo build --release
 
+# The benchmark (lbbench/, a package outside the workspace) builds the
+# simulator crates through path dependencies, so an API change in them
+# can break it without failing anything above. `--locked` keeps the
+# check from rewriting lbbench/Cargo.lock.
+echo "==> cargo check lbbench"
+cargo check --locked --release --manifest-path lbbench/Cargo.toml
+
 echo "==> cargo test"
 cargo test -q --workspace
 

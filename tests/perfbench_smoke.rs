@@ -85,6 +85,9 @@ fn report_json_round_trips() {
     let multilb = run_scenario("multilb", true, 42).expect("multilb must run");
     let mut report = BenchReport::single(true, churn);
     report.scenarios.push(multilb);
+    // 2^53 + 1 is not an f64: it round-trips only if integers are
+    // parsed exactly.
+    report.scenarios[0].alloc_bytes = (1 << 53) + 1;
     let text = report.to_json();
     let parsed = BenchReport::from_json(&text).expect("own output must parse");
     assert_eq!(parsed.schema_version, SCHEMA_VERSION);
