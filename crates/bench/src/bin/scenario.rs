@@ -1,44 +1,39 @@
-//! Runs a scenario described by an INI-style config file and prints a
-//! Fig. 3-style latency summary.
+//! Runs a scenario spec file and prints a Fig. 3-style latency summary.
 //!
 //! Usage: `cargo run --release -p bench --bin scenario -- path/to/file.conf`
 //!
-//! See `experiments::config` for the format; `examples/scenarios/` in the
-//! repository holds ready-made files.
+//! The file is the workspace's one scenario spec (`experiments::scenario`):
+//! `key = value` lines for the scalars (`seed`, `lb = aware|baseline`,
+//! `lbs`, `connections`, `duration_ms`, ...), one `backend = ...` line
+//! per backend, and optional `fault = ...` and `inject = ...` lines,
+//! with `#` comments. Fuzz-regression cases are spec files too, and
+//! `examples/scenarios/` in the repository holds ready-made ones. With
+//! an injection, the p95 before and after the first one is reported.
 
-use experiments::config::{build_scenario, ScenarioFile};
-use telemetry::Table;
+use experiments::scenario::{build, drive, Scenario};
+use netsim::Time;
+use telemetry::{JournalMode, Table};
 
 fn main() {
     let Some(path) = std::env::args().nth(1) else {
         eprintln!("usage: scenario <file.conf>");
         std::process::exit(2);
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
+    let sc = match std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| Scenario::from_text(&text).map_err(|e| format!("{path}: {e}")))
+    {
+        Ok(sc) => sc,
         Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let file = match ScenarioFile::parse(&text) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let mut sc = match build_scenario(&file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{path}: {e}");
+            eprintln!("{e}");
             std::process::exit(2);
         }
     };
     println!("running {} for {} ...", path, sc.duration);
-    sc.cluster.sim.run_for(sc.duration);
+    let mut cluster = build(&sc, JournalMode::Off);
+    drive(&mut cluster, &sc);
 
-    let rec = &sc.cluster.client_app(0).recorder;
+    let rec = &cluster.client_app(0).recorder;
     let mut t = Table::new("scenario results", &["metric", "value"]);
     t.row(&["requests completed".into(), rec.responses.to_string()]);
     for q in [0.5, 0.95, 0.99] {
@@ -47,31 +42,19 @@ fn main() {
             format!("{:.1}", rec.get_series.merged().quantile(q) as f64 / 1e3),
         ]);
     }
-    if let Some(at) = sc.inject_at {
-        let inject_ns = at.as_nanos();
-        let mut before = telemetry::LogHistogram::new();
-        let mut after = telemetry::LogHistogram::new();
-        let series = &rec.get_series;
-        for b in 0..series.len() {
-            let start = b as u64 * series.bin_width_ns();
-            if let Some(h) = series.bin(b) {
-                if start < inject_ns {
-                    before.merge(h);
-                } else {
-                    after.merge(h);
-                }
-            }
+    if let Some(inj) = sc.injections.first() {
+        let inject_ns = (Time::ZERO + inj.at).as_nanos();
+        for (label, lo, hi) in [("before", 0, inject_ns), ("after", inject_ns, u64::MAX)] {
+            t.row(&[
+                format!("p95 {label} injection (us)"),
+                format!(
+                    "{:.1}",
+                    rec.get_series.quantile_between(lo, hi, 0.95) as f64 / 1e3
+                ),
+            ]);
         }
-        t.row(&[
-            "p95 before injection (us)".into(),
-            format!("{:.1}", before.quantile(0.95) as f64 / 1e3),
-        ]);
-        t.row(&[
-            "p95 after injection (us)".into(),
-            format!("{:.1}", after.quantile(0.95) as f64 / 1e3),
-        ]);
     }
-    let lb = sc.cluster.lb_node();
+    let lb = cluster.lb_node();
     t.row(&[
         "T_LB samples at the LB".into(),
         lb.stats().samples.to_string(),

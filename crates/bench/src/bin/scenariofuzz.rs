@@ -21,7 +21,7 @@
 use std::process::ExitCode;
 
 use bench::arg_value;
-use scenariofuzz::{campaign_json, check, minimize, Scenario, SeedResult};
+use scenariofuzz::{campaign_json, check, generate, minimize, Scenario, SeedResult};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -71,7 +71,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let mut results = Vec::new();
     let mut failed = 0usize;
     for seed in from..to {
-        let sc = Scenario::generate(seed);
+        let sc = generate(seed);
         let outcome = check(&sc);
         let names = outcome.violated_invariants();
         if names.is_empty() {
@@ -122,7 +122,7 @@ fn cmd_minimize(args: &[String]) -> ExitCode {
     let Some(seed) = arg_value(args, "--seed").and_then(|s| s.parse::<u64>().ok()) else {
         return usage();
     };
-    let sc = Scenario::generate(seed);
+    let sc = generate(seed);
     eprintln!("seed {seed}: checking...");
     let Some((minimized, invariants)) = minimize(&sc) else {
         println!("seed {seed}: no invariant violated; nothing to minimize");
@@ -188,6 +188,6 @@ fn cmd_show(args: &[String]) -> ExitCode {
     let Some(seed) = arg_value(args, "--seed").and_then(|s| s.parse::<u64>().ok()) else {
         return usage();
     };
-    print!("{}", Scenario::generate(seed).to_text());
+    print!("{}", generate(seed).to_text());
     ExitCode::SUCCESS
 }

@@ -17,18 +17,15 @@
 
 use std::net::Ipv4Addr;
 
-use experiments::chaos::{build_chaos_cluster, ChaosConfig};
-use experiments::multilb::{
-    build_multilb_cluster, run_multilb_cluster, GossipParams, MultiLbConfig,
-};
-use experiments::topology::VIP;
-use experiments::{BacklogScenario, BacklogScenarioConfig, KvCluster, KvClusterConfig};
-use lb_dataplane::LbConfig;
-use lbcore::AlphaShift;
+use experiments::chaos::ChaosConfig;
+use experiments::fig3::Fig3Config;
+use experiments::multilb::{GossipParams, MultiLbConfig};
+use experiments::scenario::{self, LbMode};
+use experiments::{BacklogScenario, BacklogScenarioConfig};
 use netpkt::{Addresses, MacAddr, Packet, TcpFlags, TcpHeader};
 use netsim::fault::ImpairmentConfig;
 use netsim::{Ctx, Duration, LinkConfig, LinkId, Node, SimStats, Simulation, Time, TimerToken};
-use telemetry::json;
+use telemetry::{json, JournalMode};
 
 /// Version of the `BENCH_perf.json` schema this harness emits.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -322,56 +319,46 @@ fn run_bulk(sim_ms: u64, seed: u64) -> (u64, SimStats) {
 /// the 1 ms delay injected at the midpoint — the end-to-end macro path
 /// (clients, TCP, LB measurement + control, backends).
 fn run_fig3_kv(sim_ms: u64, seed: u64, journal: bool, spans: bool) -> (u64, SimStats) {
-    let lb_factory: Box<dyn FnOnce(Vec<Ipv4Addr>) -> LbConfig> = Box::new(move |backends| {
-        let mut c = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-        if journal {
-            c.journal = telemetry::JournalMode::Full(1 << 22);
-        }
-        c
-    });
-    let mut cfg = KvClusterConfig::fig3_defaults(lb_factory);
-    cfg.seed = seed;
-    let mut cluster = KvCluster::build(cfg);
+    let sc = Fig3Config {
+        duration: Duration::from_millis(sim_ms),
+        inject_at: Duration::from_millis(sim_ms / 2),
+        seed,
+        ..Fig3Config::default()
+    }
+    .scenario(LbMode::Aware);
+    let journal = if journal {
+        JournalMode::Full(1 << 22)
+    } else {
+        JournalMode::Off
+    };
+    let mut cluster = scenario::build(&sc, journal);
     if spans {
         cluster.sim.enable_spans(telemetry::SpanMode::Full(1 << 22));
     }
-    cluster.inject_backend_delay(
-        0,
-        Time::ZERO + Duration::from_millis(sim_ms / 2),
-        Duration::from_millis(1),
-    );
-    cluster
-        .sim
-        .run_until(Time::ZERO + Duration::from_millis(sim_ms));
+    scenario::drive(&mut cluster, &sc);
     (sim_ms, cluster.sim.stats())
 }
 
 /// The chaos crash/restart scenario (health ejection + fault layer +
 /// impairment draws) under the latency-aware LB.
 fn run_chaos(quick: bool, seed: u64) -> (u64, SimStats) {
-    let cfg = if quick {
-        ChaosConfig {
-            duration: Duration::from_millis(1200),
-            crash_at: Duration::from_millis(300),
-            restart_at: Duration::from_millis(700),
-            impair: Some(ImpairmentConfig::light(seed)),
-            bin: Duration::from_millis(250),
-            seed,
-        }
+    let (duration, crash_at, restart_at) = if quick {
+        (1200, 300, 700)
     } else {
-        ChaosConfig {
-            duration: Duration::from_secs(8),
-            crash_at: Duration::from_secs(2),
-            restart_at: Duration::from_millis(4500),
-            impair: Some(ImpairmentConfig::light(seed)),
-            bin: Duration::from_millis(250),
-            seed,
-        }
+        (8000, 2000, 4500)
     };
-    let sim_ms = cfg.duration.as_nanos() / 1_000_000;
-    let mut cluster = build_chaos_cluster(&cfg, true);
-    cluster.sim.run_until(Time::ZERO + cfg.duration);
-    (sim_ms, cluster.sim.stats())
+    let sc = ChaosConfig {
+        duration: Duration::from_millis(duration),
+        crash_at: Duration::from_millis(crash_at),
+        restart_at: Duration::from_millis(restart_at),
+        impair: Some(ImpairmentConfig::light(seed)),
+        bin: Duration::from_millis(250),
+        seed,
+    }
+    .scenario(LbMode::Aware);
+    let mut cluster = scenario::build(&sc, JournalMode::Off);
+    scenario::drive(&mut cluster, &sc);
+    (duration, cluster.sim.stats())
 }
 
 /// The multi-LB tier: the fig3 KV workload ECMP-sharded over 4
@@ -379,18 +366,19 @@ fn run_chaos(quick: bool, seed: u64) -> (u64, SimStats) {
 /// router stage, per-shard measurement/control, and the driver-stepped
 /// gossip loop, end to end.
 fn run_multilb_bench(sim_ms: u64, seed: u64) -> (u64, SimStats) {
-    let cfg = MultiLbConfig {
+    let sc = MultiLbConfig {
         n_lbs: 4,
         duration: Duration::from_millis(sim_ms),
         inject_at: Duration::from_millis(sim_ms / 2),
         extra: Duration::from_millis(1),
         bin: Duration::from_millis(sim_ms / 8),
         gossip: Some(GossipParams::default()),
-        journal: telemetry::JournalMode::Off,
+        journal: JournalMode::Off,
         seed,
-    };
-    let mut cluster = build_multilb_cluster(&cfg);
-    run_multilb_cluster(&mut cluster, &cfg);
+    }
+    .scenario();
+    let mut cluster = scenario::build(&sc, JournalMode::Off);
+    scenario::drive(&mut cluster, &sc);
     (sim_ms, cluster.sim.stats())
 }
 

@@ -12,9 +12,10 @@
 //! * [`Trace::reaction_time`] — the Fig. 3 reaction metric, recomputed
 //!   from the journal alone. Matches `experiments::fig3` exactly: the
 //!   journal's `weight_update` events are one-to-one with the LB's
-//!   weight-series points, and the same [`ScalarSeries`] lookup is used,
-//!   so the two computations cannot drift apart.
+//!   weight-series points, and the same [`ScalarSeries::first_below`]
+//!   rule is used, so the two computations cannot drift apart.
 
+use experiments::fig3::REACTION_WEIGHT;
 use telemetry::journal::parse_ndjson_lossy;
 use telemetry::{JournalEvent, ScalarSeries, WeightCause};
 
@@ -127,16 +128,8 @@ impl Trace {
     /// instant at or after `inject_ns` when `backend` holds less than
     /// half the traffic (instantaneous if it already did at injection).
     pub fn reaction_time(&self, backend: usize, inject_ns: u64) -> Option<u64> {
-        let series = self.weight_series(backend);
-        if series.value_at(inject_ns).map(|w| w < 0.5).unwrap_or(false) {
-            Some(inject_ns)
-        } else {
-            series
-                .points()
-                .iter()
-                .find(|&&(t, w)| t > inject_ns && w < 0.5)
-                .map(|&(t, _)| t)
-        }
+        self.weight_series(backend)
+            .first_below(inject_ns, REACTION_WEIGHT)
     }
 
     /// Explains the first weight shift (a `weight_update` with a victim)

@@ -9,13 +9,12 @@
 //! detection epochs, migrates its pinned flows, and readmits it through
 //! probation once it answers again after the restart.
 
-use lb_dataplane::LbConfig;
-use lbcore::AlphaShift;
-use netsim::fault::{FaultSchedule, ImpairmentConfig};
+use netsim::fault::ImpairmentConfig;
 use netsim::{Duration, Time};
-use telemetry::Table;
+use telemetry::{JournalMode, Table};
 
-use crate::topology::{KvCluster, KvClusterConfig, VIP};
+use crate::scenario::{self, FaultSpec, LbMode, Scenario};
+use crate::topology::KvCluster;
 
 /// Chaos-scenario parameters. The paper-scale timeline (200 s, crash at
 /// t = 100 s, restart at t = 150 s) is [`ChaosConfig::full`]; the default
@@ -74,33 +73,49 @@ impl ChaosConfig {
             ..ChaosConfig::default()
         }
     }
+
+    /// The scenario one variant runs: the Fig. 3 cluster behind `lb`
+    /// with backend 0 crashed over `[crash_at, restart_at)` and, if set,
+    /// `impair` on LB 0's path to backend 1 over the same window. The
+    /// impairment probabilities are rounded to whole parts per million
+    /// (exact for [`ImpairmentConfig::light`]).
+    pub fn scenario(&self, lb: LbMode) -> Scenario {
+        let mut sc = Scenario::fig3_cluster(self.seed, self.duration);
+        sc.lb = lb;
+        sc.bin = self.bin;
+        sc.faults.push(FaultSpec::Crash {
+            backend: 0,
+            down: self.crash_at,
+            up: self.restart_at,
+        });
+        if let Some(imp) = self.impair {
+            let ppm = |p: f64| (p * 1e6).round() as u32;
+            sc.faults.push(FaultSpec::Impair {
+                lb: 0,
+                backend: 1,
+                from: self.crash_at,
+                until: self.restart_at,
+                corrupt_ppm: ppm(imp.corrupt_p),
+                duplicate_ppm: ppm(imp.duplicate_p),
+                reorder_ppm: ppm(imp.reorder_p),
+                window: imp.reorder_window,
+                seed: imp.seed,
+            });
+        }
+        sc
+    }
 }
 
-/// Builds the Fig. 3 cluster with the chaos fault schedule applied
-/// (crash window on backend 0, optional impairment on the survivor's
-/// forwarding path during the outage). Exposed so tests can enable
-/// tracing on the simulation before running it.
+/// Builds the chaos cluster (fault schedule armed, not yet run).
+/// Exposed so tests can enable tracing on the simulation before running
+/// it.
 pub fn build_chaos_cluster(cfg: &ChaosConfig, latency_aware: bool) -> KvCluster {
-    let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> = if latency_aware {
-        Box::new(|backends| LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped())))
+    let lb = if latency_aware {
+        LbMode::Aware
     } else {
-        Box::new(|backends| LbConfig::baseline(VIP, backends))
+        LbMode::Baseline
     };
-    let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
-    cluster_cfg.seed = cfg.seed;
-    for c in &mut cluster_cfg.clients {
-        c.recorder_bin = cfg.bin;
-    }
-    let mut cluster = KvCluster::build(cluster_cfg);
-    let crash = Time::ZERO + cfg.crash_at;
-    let restart = Time::ZERO + cfg.restart_at;
-    let mut faults = FaultSchedule::new();
-    faults.crash_window(cluster.backends[0], crash, restart);
-    if let Some(imp) = cfg.impair {
-        faults.impair_window(cluster.backend_links[1], cluster.lb, imp, crash, restart);
-    }
-    faults.apply(&mut cluster.sim);
-    cluster
+    scenario::build(&cfg.scenario(lb), JournalMode::Off)
 }
 
 /// One LB variant's outcome.
@@ -143,33 +158,25 @@ pub struct ChaosResult {
     pub aware: ChaosRun,
 }
 
-fn run_variant(cfg: &ChaosConfig, latency_aware: bool) -> ChaosRun {
-    let mut cluster = build_chaos_cluster(cfg, latency_aware);
-    cluster.sim.run_for(cfg.duration);
+fn run_variant(cfg: &ChaosConfig, lb: LbMode) -> ChaosRun {
+    let sc = cfg.scenario(lb);
+    let mut cluster = scenario::build(&sc, JournalMode::Off);
+    scenario::drive(&mut cluster, &sc);
 
     let client = cluster.client_app(0);
-    let p95_series = client.recorder.get_series.quantile_series(0.95);
     let stats = client.stats;
     let lb = cluster.lb_node();
-    let dead_weight = lb.weight_series(0).points().to_vec();
+    let dead = lb.weight_series(0);
     let crash_ns = (Time::ZERO + cfg.crash_at).as_nanos();
     let restart_ns = (Time::ZERO + cfg.restart_at).as_nanos();
-    let ejected_at = dead_weight
-        .iter()
-        .find(|&&(t, w)| t >= crash_ns && w <= 0.0)
-        .map(|&(t, _)| t);
-    let readmitted_at = dead_weight
-        .iter()
-        .find(|&&(t, w)| t >= restart_ns && w > 0.0)
-        .map(|&(t, _)| t);
     ChaosRun {
-        p95_series,
+        p95_series: client.recorder.get_series.quantile_series(0.95),
         completed: client.recorder.responses,
         conns_broken: stats.conns_broken,
         requests_lost: stats.requests_lost,
-        dead_weight,
-        ejected_at,
-        readmitted_at,
+        dead_weight: dead.points().to_vec(),
+        ejected_at: dead.first_time_after(crash_ns, |w| w <= 0.0),
+        readmitted_at: dead.first_time_after(restart_ns, |w| w > 0.0),
         ejections: lb.stats().ejections,
         readmissions: lb.stats().readmissions,
         flows_repinned: lb.stats().flows_repinned,
@@ -180,8 +187,8 @@ fn run_variant(cfg: &ChaosConfig, latency_aware: bool) -> ChaosRun {
 
 /// Runs both variants.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
-    let baseline = run_variant(cfg, false);
-    let aware = run_variant(cfg, true);
+    let baseline = run_variant(cfg, LbMode::Baseline);
+    let aware = run_variant(cfg, LbMode::Aware);
     ChaosResult {
         cfg: cfg.clone(),
         baseline,

@@ -2,12 +2,14 @@
 //! key-value cluster under a 1 ms latency injection, plain Maglev vs. the
 //! latency-aware LB.
 
-use lb_dataplane::LbConfig;
-use lbcore::AlphaShift;
 use netsim::{Duration, Time};
 use telemetry::{JournalMode, SpanMode, Table};
 
-use crate::topology::{KvCluster, KvClusterConfig, VIP};
+use crate::scenario::{self, Injection, LbMode, Scenario};
+
+/// The reaction rule's threshold: the LB has reacted once the degraded
+/// backend's weight is below this (it holds less than half the traffic).
+pub const REACTION_WEIGHT: f64 = 0.5;
 
 /// Fig. 3 parameters. The paper runs 200 s with the injection at t = 100 s
 /// on CloudLab; the default here is a 60 s run with injection at t = 20 s
@@ -66,6 +68,20 @@ impl Fig3Config {
             ..Fig3Config::default()
         }
     }
+
+    /// The scenario one variant runs: the Fig. 3 cluster behind `lb`,
+    /// `extra` injected on backend 0's path at `inject_at`.
+    pub fn scenario(&self, lb: LbMode) -> Scenario {
+        let mut sc = Scenario::fig3_cluster(self.seed, self.duration);
+        sc.lb = lb;
+        sc.bin = self.bin;
+        sc.injections.push(Injection {
+            backend: 0,
+            at: self.inject_at,
+            extra: self.extra,
+        });
+        sc
+    }
 }
 
 /// One LB variant's outcome.
@@ -105,27 +121,16 @@ pub struct Fig3Result {
     pub aware: Fig3Run,
 }
 
-fn run_variant(cfg: &Fig3Config, latency_aware: bool) -> Fig3Run {
-    let journal = cfg.journal;
-    let lb_factory: Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> = if latency_aware {
-        Box::new(move |backends| {
-            let mut c = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-            c.journal = journal;
-            c
-        })
-    } else {
-        Box::new(|backends| LbConfig::baseline(VIP, backends))
+fn run_variant(cfg: &Fig3Config, lb: LbMode) -> Fig3Run {
+    let sc = cfg.scenario(lb);
+    // Only the latency-aware LB's decisions are worth journaling.
+    let journal = match lb {
+        LbMode::Aware => cfg.journal,
+        LbMode::Baseline => JournalMode::Off,
     };
-    let mut cluster_cfg = KvClusterConfig::fig3_defaults(lb_factory);
-    cluster_cfg.seed = cfg.seed;
-    for c in &mut cluster_cfg.clients {
-        c.recorder_bin = cfg.bin;
-    }
-    let mut cluster = KvCluster::build(cluster_cfg);
+    let mut cluster = scenario::build(&sc, journal);
     cluster.sim.enable_spans(cfg.span);
-    let inject_at = Time::ZERO + cfg.inject_at;
-    cluster.inject_backend_delay(0, inject_at, cfg.extra);
-    cluster.sim.run_for(cfg.duration);
+    scenario::drive(&mut cluster, &sc);
 
     let spans_dropped = cluster.sim.spans().dropped();
     let spans = {
@@ -134,46 +139,21 @@ fn run_variant(cfg: &Fig3Config, latency_aware: bool) -> Fig3Run {
         telemetry::span::to_ndjson(&recs)
     };
     let recorder = &cluster.client_app(0).recorder;
-    let p95_series = recorder.get_series.quantile_series(0.95);
-    let inject_ns = inject_at.as_nanos();
-    let p95_of = |lo: u64, hi: u64| -> u64 {
-        let mut h = telemetry::LogHistogram::new();
-        for b in 0..recorder.get_series.len() {
-            let start = b as u64 * recorder.get_series.bin_width_ns();
-            if start >= lo && start < hi {
-                if let Some(hist) = recorder.get_series.bin(b) {
-                    h.merge(hist);
-                }
-            }
-        }
-        h.quantile(0.95)
-    };
-    let p95_before = p95_of(0, inject_ns);
-    let p95_after = p95_of(inject_ns, u64::MAX);
-
+    let inject_ns = (Time::ZERO + cfg.inject_at).as_nanos();
     let lb = cluster.lb_node();
     let series = lb.weight_series(0);
-    let degraded_weight = series.points().to_vec();
-    // "Reaction": the first instant at or after the injection when the
-    // degraded backend holds less than half the traffic. If noise-driven
-    // wander had already pushed it below before the injection, the
-    // reaction is reported as instantaneous (the system was already
-    // routing around the backend that then degraded).
-    let first_reaction = if series.value_at(inject_ns).map(|w| w < 0.5).unwrap_or(false) {
-        Some(inject_ns)
-    } else {
-        degraded_weight
-            .iter()
-            .find(|&&(t, w)| t > inject_ns && w < 0.5)
-            .map(|&(t, _)| t)
-    };
     Fig3Run {
-        p95_series,
-        p95_before,
-        p95_after,
+        p95_series: recorder.get_series.quantile_series(0.95),
+        p95_before: recorder.get_series.quantile_between(0, inject_ns, 0.95),
+        p95_after: recorder
+            .get_series
+            .quantile_between(inject_ns, u64::MAX, 0.95),
         completed: recorder.responses,
-        degraded_weight,
-        first_reaction,
+        degraded_weight: series.points().to_vec(),
+        // If noise-driven wander had already pushed the degraded backend
+        // below half before the injection, the reaction is reported as
+        // instantaneous (the system was already routing around it).
+        first_reaction: series.first_below(inject_ns, REACTION_WEIGHT),
         lb_samples: lb.stats().samples,
         journal: lb.journal().to_ndjson(),
         spans,
@@ -184,13 +164,13 @@ fn run_variant(cfg: &Fig3Config, latency_aware: bool) -> Fig3Run {
 /// Runs only the latency-aware variant — the reference the multi-LB
 /// N=1 conformance suite compares against.
 pub fn run_fig3_aware(cfg: &Fig3Config) -> Fig3Run {
-    run_variant(cfg, true)
+    run_variant(cfg, LbMode::Aware)
 }
 
 /// Runs both variants.
 pub fn run_fig3(cfg: &Fig3Config) -> Fig3Result {
-    let baseline = run_variant(cfg, false);
-    let aware = run_variant(cfg, true);
+    let baseline = run_variant(cfg, LbMode::Baseline);
+    let aware = run_variant(cfg, LbMode::Aware);
     Fig3Result {
         cfg: cfg.clone(),
         baseline,

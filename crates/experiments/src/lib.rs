@@ -14,16 +14,20 @@
 //! multiple LBs) and the scale-out scenarios: [`chaos`] (fault injection
 //! and health ejection) and [`multilb`] (an ECMP-sharded tier of N LBs
 //! with partial-visibility feedback, isolated vs. gossip).
+//!
+//! Fig. 3, chaos and multilb are presets of the one scenario spec in
+//! [`scenario`], built by [`scenario::build`] and run by
+//! [`scenario::drive`].
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod ablations;
 pub mod chaos;
-pub mod config;
 pub mod fig2;
 pub mod fig3;
 pub mod multilb;
+pub mod scenario;
 pub mod topology;
 
 pub use topology::{BacklogScenario, BacklogScenarioConfig, KvCluster, KvClusterConfig};

@@ -17,20 +17,20 @@
 //! * **Gossip** (`gossip: Some(..)`): every `period`, each LB blends its
 //!   weight vector toward the mean of its peers'
 //!   ([`lb_dataplane::LbNode::apply_gossip`]). The exchange is driven by
-//!   the experiment loop between `run_until` steps, so the trace stays
-//!   bit-reproducible — gossip adds no packets.
+//!   [`crate::scenario::drive`] between `run_until` steps, so the trace
+//!   stays bit-reproducible — gossip adds no packets.
 //!
 //! With `n_lbs = 1` the topology, event schedule, and results are
 //! *byte-identical* to the single-LB fig3 path (the conformance suite
 //! pins this), so scale-out provably degenerates to the reproduced paper
 //! setup.
 
-use lb_dataplane::{LbConfig, LbNode};
-use lbcore::AlphaShift;
+use lb_dataplane::LbNode;
 use netsim::{Duration, Time};
 use telemetry::{JournalMode, ScalarSeries, Table};
 
-use crate::topology::{KvCluster, KvClusterConfig, VIP};
+use crate::fig3::REACTION_WEIGHT;
+use crate::scenario::{self, Injection, Scenario};
 
 /// Gossip cadence and blend strength, in simulation terms. Defaults
 /// mirror [`lbcore::GossipConfig`].
@@ -102,6 +102,26 @@ impl MultiLbConfig {
             ..MultiLbConfig::default()
         }
     }
+
+    /// The scenario this configuration runs: the Fig. 3 cluster behind
+    /// `n_lbs` latency-aware LB shards, `extra` injected on every LB's
+    /// path to backend 0 at `inject_at`, and the gossip regime (its mix
+    /// rounded to a whole percent; exact for the default 0.5).
+    pub fn scenario(&self) -> Scenario {
+        let mut sc = Scenario::fig3_cluster(self.seed, self.duration);
+        sc.lbs = self.n_lbs as u32;
+        sc.bin = self.bin;
+        if let Some(g) = self.gossip {
+            sc.gossip_period = g.period;
+            sc.gossip_mix_pct = (g.mix * 100.0).round() as u32;
+        }
+        sc.injections.push(Injection {
+            backend: 0,
+            at: self.inject_at,
+            extra: self.extra,
+        });
+        sc
+    }
 }
 
 /// One multi-LB run's outcome.
@@ -138,101 +158,10 @@ pub struct MultiLbRun {
     pub journals: Vec<String>,
 }
 
-/// Builds the cluster: the fig3 topology with `n_lbs` latency-aware LB
-/// instances behind the VIP's ECMP route, delay injection armed on every
-/// LB's forwarding link to backend 0.
-pub fn build_multilb_cluster(cfg: &MultiLbConfig) -> KvCluster {
-    assert!(cfg.n_lbs >= 1, "tier needs at least one LB");
-    let journal = cfg.journal;
-    let factory = move || -> Box<dyn FnOnce(Vec<std::net::Ipv4Addr>) -> LbConfig> {
-        Box::new(move |backends| {
-            let mut c = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-            c.journal = journal;
-            c
-        })
-    };
-    let mut cluster_cfg = KvClusterConfig::fig3_defaults(factory());
-    for _ in 1..cfg.n_lbs {
-        cluster_cfg.extra_lbs.push(factory());
-    }
-    cluster_cfg.seed = cfg.seed;
-    for c in &mut cluster_cfg.clients {
-        c.recorder_bin = cfg.bin;
-    }
-    let mut cluster = KvCluster::build(cluster_cfg);
-    cluster.inject_backend_delay_all_lbs(0, Time::ZERO + cfg.inject_at, cfg.extra);
-    cluster
-}
-
-/// One all-to-all gossip round: snapshot every LB's weights, then let
-/// each LB merge against its peers' snapshots. Using the pre-round
-/// snapshots (not the already-merged vectors) keeps the round symmetric
-/// and order-independent.
-fn gossip_round(cluster: &mut KvCluster, mix: f64) {
-    let now = cluster.sim.now();
-    let snapshots: Vec<Vec<f64>> = cluster
-        .lbs
-        .iter()
-        .map(|&id| {
-            cluster
-                .sim
-                .node_ref::<LbNode>(id)
-                .map(|n| n.weights().as_slice().to_vec())
-                .unwrap_or_default()
-        })
-        .collect();
-    for (i, &id) in cluster.lbs.iter().enumerate() {
-        let peers: Vec<&[f64]> = snapshots
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, v)| v.as_slice())
-            .collect();
-        if let Some(node) = cluster.sim.node_mut::<LbNode>(id) {
-            node.apply_gossip(&peers, mix, now);
-        }
-    }
-}
-
-/// Runs the cluster for `cfg.duration`. Without gossip this is a single
-/// `run_for`; with gossip the clock advances in `period` steps with a
-/// gossip round between steps. Events *at* a step boundary are processed
-/// before the round (`run_until` is inclusive), so a no-gossip stepped
-/// run equals a single run — stepping itself never perturbs the trace.
-pub fn run_multilb_cluster(cluster: &mut KvCluster, cfg: &MultiLbConfig) {
-    match cfg.gossip {
-        Some(g) if cfg.n_lbs > 1 && g.period.as_nanos() > 0 => {
-            let end = Time::ZERO + cfg.duration;
-            let mut next = Time::ZERO + g.period;
-            while next < end {
-                cluster.sim.run_until(next);
-                gossip_round(cluster, g.mix);
-                next = next + g.period;
-            }
-            cluster.sim.run_until(end);
-        }
-        _ => {
-            cluster.sim.run_for(cfg.duration);
-        }
-    }
-}
-
-/// The fig3 reaction rule applied to one weight series: the first
-/// instant at or after `inject_ns` when the value drops below 0.5.
-fn series_reaction(series: &ScalarSeries, inject_ns: u64) -> Option<u64> {
-    if series.value_at(inject_ns).map(|w| w < 0.5).unwrap_or(false) {
-        return Some(inject_ns);
-    }
-    series
-        .points()
-        .iter()
-        .find(|&&(t, w)| t > inject_ns && w < 0.5)
-        .map(|&(t, _)| t)
-}
-
 /// The tier-level reaction: the first instant at or after `inject_ns`
 /// when the *mean* of the per-LB degraded-backend weights drops below
-/// 0.5. For a single series this reduces exactly to [`series_reaction`].
+/// 0.5. For a single series this reduces exactly to
+/// [`ScalarSeries::first_below`].
 fn aggregate_reaction(series: &[&ScalarSeries], inject_ns: u64) -> Option<u64> {
     let mut current: Vec<Option<f64>> = series.iter().map(|s| s.value_at(inject_ns)).collect();
     let mean_below = |cur: &[Option<f64>]| -> bool {
@@ -242,7 +171,7 @@ fn aggregate_reaction(series: &[&ScalarSeries], inject_ns: u64) -> Option<u64> {
             sum += *v;
             n += 1;
         }
-        n > 0 && sum / f64::from(n) < 0.5
+        n > 0 && sum / f64::from(n) < REACTION_WEIGHT
     };
     if mean_below(&current) {
         return Some(inject_ns);
@@ -269,25 +198,16 @@ fn aggregate_reaction(series: &[&ScalarSeries], inject_ns: u64) -> Option<u64> {
 
 /// Runs one multi-LB scenario and collects the outcome.
 pub fn run_multilb(cfg: &MultiLbConfig) -> MultiLbRun {
-    let mut cluster = build_multilb_cluster(cfg);
-    run_multilb_cluster(&mut cluster, cfg);
+    let sc = cfg.scenario();
+    let mut cluster = scenario::build(&sc, cfg.journal);
+    scenario::drive(&mut cluster, &sc);
 
     let recorder = &cluster.client_app(0).recorder;
     let inject_ns = (Time::ZERO + cfg.inject_at).as_nanos();
-    let p95_of = |lo: u64, hi: u64| -> u64 {
-        let mut h = telemetry::LogHistogram::new();
-        for b in 0..recorder.get_series.len() {
-            let start = b as u64 * recorder.get_series.bin_width_ns();
-            if start >= lo && start < hi {
-                if let Some(hist) = recorder.get_series.bin(b) {
-                    h.merge(hist);
-                }
-            }
-        }
-        h.quantile(0.95)
-    };
-    let p95_before = p95_of(0, inject_ns);
-    let p95_after = p95_of(inject_ns, u64::MAX);
+    let p95_before = recorder.get_series.quantile_between(0, inject_ns, 0.95);
+    let p95_after = recorder
+        .get_series
+        .quantile_between(inject_ns, u64::MAX, 0.95);
     let completed = recorder.responses;
 
     let nodes: Vec<&LbNode> = (0..cfg.n_lbs).map(|i| cluster.lb_node_i(i)).collect();
@@ -295,7 +215,7 @@ pub fn run_multilb(cfg: &MultiLbConfig) -> MultiLbRun {
     let first_reaction = aggregate_reaction(&degraded, inject_ns);
     let per_lb_reaction: Vec<Option<u64>> = degraded
         .iter()
-        .map(|s| series_reaction(s, inject_ns))
+        .map(|s| s.first_below(inject_ns, REACTION_WEIGHT))
         .collect();
     let per_lb_samples: Vec<u64> = nodes.iter().map(|n| n.stats().samples).collect();
     let per_lb_forwarded: Vec<u64> = nodes.iter().map(|n| n.stats().forwarded).collect();

@@ -9,7 +9,9 @@
 //! config, and a fault schedule (crashes, flaps, impairments, latency
 //! injections) — which is run through the existing drivers and checked
 //! against every global invariant in one place, twice per seed for
-//! trace-hash determinism.
+//! trace-hash determinism. The spec itself, its text format and the
+//! cluster builder are `experiments::scenario`; this crate owns only
+//! the generator, the invariant suite, the minimizer and the report.
 //!
 //! On violation, [`minimize::minimize`] shrinks the scenario while the
 //! violation reproduces and the result is committed as a regression
@@ -20,7 +22,7 @@
 //! Pipeline:
 //!
 //! ```text
-//! seed ──> Scenario::generate ──> runner::check (run ×2, invariants)
+//! seed ──> generate ────────────> runner::check (run ×2, invariants)
 //!                                        │ violation
 //!                                        v
 //!                         minimize::minimize ──> tests/fuzz_regressions/*.case
@@ -32,12 +34,13 @@
 
 #![deny(missing_docs)]
 
+pub mod generator;
 pub mod minimize;
 pub mod report;
 pub mod runner;
-pub mod scenario;
 
+pub use experiments::scenario::{BackendSpec, FaultSpec, Injection, Scenario};
+pub use generator::generate;
 pub use minimize::{minimize, minimize_with};
 pub use report::{campaign_json, SeedResult, SCHEMA};
 pub use runner::{check, fold_trace, run_once, Outcome, RunSummary, Violation};
-pub use scenario::{BackendSpec, FaultSpec, Injection, Scenario};

@@ -14,12 +14,14 @@
 //! a pure, unit-testable function; [`minimize`] wires it to the live
 //! runner.
 
+use experiments::scenario::{FaultSpec, Scenario};
+use netsim::Duration;
+
 use crate::runner::check;
-use crate::scenario::{FaultSpec, Scenario};
 
 /// Floor for the shrunken horizon: long enough for the health machinery
 /// (300 ms detection + probation) to act at all.
-const MIN_DURATION_MS: u32 = 600;
+const MIN_DURATION: Duration = Duration::from_millis(600);
 
 /// Shrinks `sc` while `repro` keeps returning true, to a fixpoint.
 /// `repro` is never called on a structurally invalid scenario.
@@ -87,9 +89,9 @@ fn candidates(sc: &Scenario) -> Vec<Scenario> {
         out.push(c);
     }
     // Disable gossip.
-    if sc.gossip_period_ms > 0 {
+    if !sc.gossip_period.is_zero() {
         let mut c = sc.clone();
-        c.gossip_period_ms = 0;
+        c.gossip_period = Duration::ZERO;
         c.gossip_mix_pct = 0;
         out.push(c);
     }
@@ -110,7 +112,7 @@ fn candidates(sc: &Scenario) -> Vec<Scenario> {
         let mut c = sc.clone();
         c.lbs = keep;
         if keep == 1 {
-            c.gossip_period_ms = 0;
+            c.gossip_period = Duration::ZERO;
             c.gossip_mix_pct = 0;
         }
         let backends = c.backends.len() as u32;
@@ -135,24 +137,24 @@ fn candidates(sc: &Scenario) -> Vec<Scenario> {
         c.pipeline = 1;
         out.push(c);
     }
-    // Halve the horizon (floored), dropping faults and injections that
-    // could no longer fire.
-    if sc.duration_ms / 2 >= MIN_DURATION_MS {
+    // Halve the horizon in whole milliseconds (floored), dropping faults
+    // and injections that could no longer fire.
+    let half = Duration::from_millis(sc.duration.as_nanos() / 2_000_000);
+    if half >= MIN_DURATION {
         let mut c = sc.clone();
-        c.duration_ms = sc.duration_ms / 2;
-        let horizon = c.duration_ms;
-        c.faults.retain(|f| fault_start(f) < horizon);
-        c.injections.retain(|inj| inj.at_ms < horizon);
+        c.duration = half;
+        c.faults.retain(|f| fault_start(f) < half);
+        c.injections.retain(|inj| inj.at < half);
         out.push(c);
     }
 
     out
 }
 
-fn fault_start(f: &FaultSpec) -> u32 {
+fn fault_start(f: &FaultSpec) -> Duration {
     match *f {
-        FaultSpec::Crash { down_ms, .. } | FaultSpec::Flap { down_ms, .. } => down_ms,
-        FaultSpec::Impair { from_ms, .. } => from_ms,
+        FaultSpec::Crash { down, .. } | FaultSpec::Flap { down, .. } => down,
+        FaultSpec::Impair { from, .. } => from,
     }
 }
 
@@ -171,14 +173,18 @@ fn retain_in_range(sc: &mut Scenario, lbs: u32, backends: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Injection;
+    use experiments::scenario::{BackendSpec, Injection};
+
+    fn ms(v: u64) -> Duration {
+        Duration::from_millis(v)
+    }
 
     /// A busy scenario to shrink from.
     fn busy() -> Scenario {
-        let mut sc = Scenario::generate(11);
+        let mut sc = crate::generate(11);
         sc.lbs = 4;
         sc.backends = (0..5)
-            .map(|i| crate::scenario::BackendSpec {
+            .map(|i| BackendSpec {
                 median_us: 60 + 20 * i,
                 sigma_pct: 30,
                 workers: 4,
@@ -187,26 +193,26 @@ mod tests {
         sc.connections = 24;
         sc.pipeline = 2;
         sc.requests_per_conn = 200;
-        sc.duration_ms = 1600;
-        sc.gossip_period_ms = 50;
+        sc.duration = ms(1600);
+        sc.gossip_period = ms(50);
         sc.gossip_mix_pct = 40;
         sc.faults = vec![
             FaultSpec::Crash {
                 backend: 0,
-                down_ms: 300,
-                up_ms: 700,
+                down: ms(300),
+                up: ms(700),
             },
             FaultSpec::Flap {
                 lb: 3,
                 backend: 4,
-                down_ms: 400,
-                up_ms: 600,
+                down: ms(400),
+                up: ms(600),
             },
         ];
         sc.injections = vec![Injection {
             backend: 1,
-            at_ms: 500,
-            extra_us: 1000,
+            at: ms(500),
+            extra: Duration::from_micros(1000),
         }];
         sc.validate().unwrap();
         sc
@@ -217,14 +223,14 @@ mod tests {
         let min = minimize_with(&busy(), |_| true);
         assert!(min.faults.is_empty());
         assert!(min.injections.is_empty());
-        assert_eq!(min.gossip_period_ms, 0);
+        assert!(min.gossip_period.is_zero());
         assert_eq!(min.backends.len(), 2);
         assert_eq!(min.lbs, 1);
         assert_eq!(min.connections, 2);
         assert_eq!(min.requests_per_conn, 0);
         assert_eq!(min.pipeline, 1);
-        assert!(min.duration_ms >= MIN_DURATION_MS);
-        assert!(min.duration_ms < 1200);
+        assert!(min.duration >= MIN_DURATION);
+        assert!(min.duration < ms(1200));
         min.validate().unwrap();
     }
 
@@ -272,19 +278,19 @@ mod tests {
     #[test]
     fn horizon_cut_drops_late_faults() {
         let mut sc = busy();
-        sc.duration_ms = 1600;
+        sc.duration = ms(1600);
         sc.faults.push(FaultSpec::Crash {
             backend: 1,
-            down_ms: 1500,
-            up_ms: 1900,
+            down: ms(1500),
+            up: ms(1900),
         });
         sc.validate().unwrap();
         // Only accept horizon cuts (reject everything that still has a
         // late fault at full length), then confirm the late fault died
         // with the horizon.
-        let min = minimize_with(&sc, |c| c.duration_ms <= 800);
-        assert!(min.duration_ms <= 800);
-        assert!(min.faults.iter().all(|f| fault_start(f) < min.duration_ms));
+        let min = minimize_with(&sc, |c| c.duration <= ms(800));
+        assert!(min.duration <= ms(800));
+        assert!(min.faults.iter().all(|f| fault_start(f) < min.duration));
         min.validate().unwrap();
     }
 }

@@ -5,8 +5,9 @@
 
 use telemetry::json;
 
+use experiments::scenario::Scenario;
+
 use crate::runner::Outcome;
-use crate::scenario::Scenario;
 
 /// Schema tag of the campaign JSON.
 pub const SCHEMA: &str = "scenariofuzz-v1";
@@ -55,11 +56,11 @@ fn seed_json(r: &SeedResult, indent: &str) -> String {
         sc.lbs,
         sc.backends.len(),
         sc.connections,
-        sc.duration_ms
+        sc.duration.as_nanos() / 1_000_000
     ));
     out.push_str(&format!(
         ", \"gossip\": {}, \"faults\": {}, \"injections\": {}",
-        sc.gossip_period_ms > 0,
+        !sc.gossip_period.is_zero(),
         sc.faults.len(),
         sc.injections.len()
     ));
@@ -102,7 +103,7 @@ mod tests {
     fn fake_result(seed: u64, violations: Vec<Violation>) -> SeedResult {
         SeedResult {
             seed,
-            scenario: Scenario::generate(seed),
+            scenario: crate::generate(seed),
             outcome: Outcome {
                 summary: RunSummary {
                     trace_hash: 0xdead_beef,

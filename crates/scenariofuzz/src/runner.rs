@@ -1,10 +1,10 @@
 //! Scenario execution and the global invariant suite.
 //!
-//! A scenario is materialized onto the fig3 topology (N latency-aware
-//! LBs behind the router's rendezvous ECMP, scripted faults and delay
-//! injections armed, journals on), run to its horizon with the stepped
-//! gossip driver, and then every invariant the repo's suites check
-//! separately is checked here in one place:
+//! A scenario is built by `experiments::scenario::build` (N LBs behind
+//! the router's rendezvous ECMP, scripted faults and delay injections
+//! armed, journals on), run to its horizon by `scenario::drive` with the
+//! packet trace and span log recording, and then every invariant the
+//! repo's suites check separately is checked here in one place:
 //!
 //! * `shard_isolation` — every in-band sample an LB learned from belongs
 //!   to a flow `netsim::ecmp::pick` assigns to that LB's arm.
@@ -29,19 +29,13 @@
 //!   violation here means the other checks were blind, so the minimizer
 //!   shrinks the scenario.
 
-use std::net::Ipv4Addr;
-
-use experiments::topology::{KvCluster, KvClusterConfig, VIP};
-use lb_dataplane::{LbConfig, LbNode};
-use lbcore::{AlphaShift, HealthConfig};
-use netsim::fault::{FaultSchedule, ImpairmentConfig};
+use experiments::scenario::{build, drive, Scenario};
+use experiments::topology::KvCluster;
+use lb_dataplane::LbNode;
 use netsim::trace::Trace;
-use netsim::{Duration, Time, TraceKind};
+use netsim::TraceKind;
 use telemetry::span::{assemble, critical_path, sort_records, CriticalPath};
 use telemetry::{JournalEvent, JournalMode, SpanMode};
-use workload::MemtierConfig;
-
-use crate::scenario::{FaultSpec, Scenario};
 
 /// Trace capacity for fuzz runs: ~4M events covers a 4-LB scenario at
 /// the longest generated horizon with margin; overflow is a `harness`
@@ -126,169 +120,6 @@ impl Outcome {
 /// Per-invariant cap on recorded violation details: one bad run can
 /// violate an invariant thousands of times; the first few localize it.
 const MAX_DETAILS_PER_INVARIANT: usize = 4;
-
-fn ms(v: u32) -> Duration {
-    Duration::from_millis(u64::from(v))
-}
-
-/// Builds the cluster a scenario describes (trace and faults armed, not
-/// yet run).
-pub fn build_cluster(sc: &Scenario) -> KvCluster {
-    let probation_ns = u64::from(sc.probation_ms) * 1_000_000;
-    let factory = move || -> Box<dyn FnOnce(Vec<Ipv4Addr>) -> LbConfig> {
-        Box::new(move |backends| {
-            let mut cfg = LbConfig::latency_aware(VIP, backends, Box::new(AlphaShift::damped()));
-            cfg.health = Some(HealthConfig {
-                probation_after: probation_ns,
-                ..HealthConfig::default()
-            });
-            cfg.journal = JournalMode::Full(JOURNAL_CAPACITY);
-            cfg
-        })
-    };
-    let mut cfg = KvClusterConfig::fig3_defaults(factory());
-    cfg.clients = vec![MemtierConfig {
-        connections: sc.connections as usize,
-        pipeline: sc.pipeline as usize,
-        get_ratio: f64::from(sc.get_ratio_pct) / 100.0,
-        set_value_len: sc.value_len,
-        requests_per_conn: u64::from(sc.requests_per_conn),
-        ..MemtierConfig::default()
-    }];
-    cfg.backends = sc
-        .backends
-        .iter()
-        .enumerate()
-        .map(|(j, b)| backend::KvServerConfig {
-            service: backend::ServiceDist::LogNormal {
-                median: u64::from(b.median_us) * 1_000,
-                sigma: f64::from(b.sigma_pct) / 100.0,
-            },
-            workers: b.workers as usize,
-            seed: j as u64,
-            ..backend::KvServerConfig::default()
-        })
-        .collect();
-    for _ in 1..sc.lbs {
-        cfg.extra_lbs.push(factory());
-    }
-    cfg.seed = sc.seed;
-    let mut cluster = KvCluster::build(cfg);
-    cluster.sim.enable_trace(TRACE_CAPACITY);
-    cluster.sim.enable_spans(SpanMode::Full(SPAN_CAPACITY));
-
-    let mut faults = FaultSchedule::new();
-    for f in &sc.faults {
-        match *f {
-            FaultSpec::Crash {
-                backend,
-                down_ms,
-                up_ms,
-            } => {
-                faults.crash_window(
-                    cluster.backends[backend as usize],
-                    Time::ZERO + ms(down_ms),
-                    Time::ZERO + ms(up_ms),
-                );
-            }
-            FaultSpec::Flap {
-                lb,
-                backend,
-                down_ms,
-                up_ms,
-            } => {
-                faults.link_flap(
-                    cluster.fwd_links[lb as usize][backend as usize],
-                    Time::ZERO + ms(down_ms),
-                    Time::ZERO + ms(up_ms),
-                );
-            }
-            FaultSpec::Impair {
-                lb,
-                backend,
-                from_ms,
-                until_ms,
-                corrupt_pm,
-                duplicate_pm,
-                reorder_pm,
-                window_us,
-                seed,
-            } => {
-                faults.impair_window(
-                    cluster.fwd_links[lb as usize][backend as usize],
-                    cluster.lbs[lb as usize],
-                    ImpairmentConfig {
-                        corrupt_p: f64::from(corrupt_pm) / 1000.0,
-                        duplicate_p: f64::from(duplicate_pm) / 1000.0,
-                        reorder_p: f64::from(reorder_pm) / 1000.0,
-                        reorder_window: Duration::from_micros(u64::from(window_us)),
-                        seed,
-                    },
-                    Time::ZERO + ms(from_ms),
-                    Time::ZERO + ms(until_ms),
-                );
-            }
-        }
-    }
-    faults.apply(&mut cluster.sim);
-    for inj in &sc.injections {
-        cluster.inject_backend_delay_all_lbs(
-            inj.backend as usize,
-            Time::ZERO + ms(inj.at_ms),
-            Duration::from_micros(u64::from(inj.extra_us)),
-        );
-    }
-    cluster
-}
-
-/// Runs a built cluster to the scenario horizon. With gossip enabled the
-/// clock advances in period steps with an all-to-all round between steps
-/// (same driver discipline as the multilb experiment: gossip adds no
-/// packets, so stepping never perturbs the trace).
-pub fn run_cluster(cluster: &mut KvCluster, sc: &Scenario) {
-    let end = Time::ZERO + ms(sc.duration_ms);
-    if sc.lbs > 1 && sc.gossip_period_ms > 0 {
-        let period = ms(sc.gossip_period_ms);
-        let mix = f64::from(sc.gossip_mix_pct) / 100.0;
-        let mut next = Time::ZERO + period;
-        while next < end {
-            cluster.sim.run_until(next);
-            gossip_round(cluster, mix);
-            next = next + period;
-        }
-        cluster.sim.run_until(end);
-    } else {
-        cluster.sim.run_until(end);
-    }
-}
-
-/// One all-to-all gossip round against pre-round snapshots (symmetric
-/// and order-independent, mirroring `experiments::multilb`).
-fn gossip_round(cluster: &mut KvCluster, mix: f64) {
-    let now = cluster.sim.now();
-    let snapshots: Vec<Vec<f64>> = cluster
-        .lbs
-        .iter()
-        .map(|&id| {
-            cluster
-                .sim
-                .node_ref::<LbNode>(id)
-                .map(|n| n.weights().as_slice().to_vec())
-                .unwrap_or_default()
-        })
-        .collect();
-    for (i, &id) in cluster.lbs.iter().enumerate() {
-        let peers: Vec<&[f64]> = snapshots
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, v)| v.as_slice())
-            .collect();
-        if let Some(node) = cluster.sim.node_mut::<LbNode>(id) {
-            node.apply_gossip(&peers, mix, now);
-        }
-    }
-}
 
 /// The determinism suite's trace fold: FNV-1a over every event's
 /// canonical line. Must stay formula-identical to `tests/determinism.rs`
@@ -628,8 +459,10 @@ fn ejection_windows(node: &LbNode, n_backends: usize) -> Vec<Vec<(u64, u64)>> {
 
 /// Builds, runs, and checks a scenario once.
 pub fn run_once(sc: &Scenario) -> (RunSummary, Vec<Violation>) {
-    let mut cluster = build_cluster(sc);
-    run_cluster(&mut cluster, sc);
+    let mut cluster = build(sc, JournalMode::Full(JOURNAL_CAPACITY));
+    cluster.sim.enable_trace(TRACE_CAPACITY);
+    cluster.sim.enable_spans(SpanMode::Full(SPAN_CAPACITY));
+    drive(&mut cluster, sc);
     digest_and_check(&cluster, sc)
 }
 
@@ -661,6 +494,8 @@ pub fn check(sc: &Scenario) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use experiments::scenario::{BackendSpec, LbMode};
+    use netsim::Duration;
 
     /// One small end-to-end smoke: a hand-written quiet scenario runs
     /// clean and its digest is reproducible. (The broad campaign lives
@@ -670,14 +505,15 @@ mod tests {
     fn quiet_scenario_runs_clean_and_reproducibly() {
         let sc = Scenario {
             seed: 7,
+            lb: LbMode::Aware,
             lbs: 2,
             backends: vec![
-                crate::scenario::BackendSpec {
+                BackendSpec {
                     median_us: 60,
                     sigma_pct: 30,
                     workers: 4,
                 },
-                crate::scenario::BackendSpec {
+                BackendSpec {
                     median_us: 80,
                     sigma_pct: 20,
                     workers: 2,
@@ -688,10 +524,11 @@ mod tests {
             get_ratio_pct: 50,
             value_len: 64,
             requests_per_conn: 100,
-            duration_ms: 600,
-            gossip_period_ms: 50,
+            duration: Duration::from_millis(600),
+            bin: Duration::from_secs(1),
+            gossip_period: Duration::from_millis(50),
             gossip_mix_pct: 30,
-            probation_ms: 2500,
+            probation: Duration::from_millis(2500),
             faults: Vec::new(),
             injections: Vec::new(),
         };

@@ -69,6 +69,21 @@ impl BinnedSeries {
             .collect()
     }
 
+    /// The `q` quantile over the bins that start in `[lo_ns, hi_ns)` —
+    /// e.g. the p95 before and after an injection at `t`:
+    /// `quantile_between(0, t, 0.95)` and `quantile_between(t, u64::MAX,
+    /// 0.95)`.
+    pub fn quantile_between(&self, lo_ns: u64, hi_ns: u64, q: f64) -> u64 {
+        let mut h = LogHistogram::new();
+        for (i, bin) in self.bins.iter().enumerate() {
+            let start = i as u64 * self.bin_width_ns;
+            if start >= lo_ns && start < hi_ns {
+                h.merge(bin);
+            }
+        }
+        h.quantile(q)
+    }
+
     /// Merges all bins into one histogram (whole-run distribution).
     pub fn merged(&self) -> LogHistogram {
         let mut out = LogHistogram::new();
@@ -122,6 +137,20 @@ impl ScalarSeries {
             Err(0) => None,
             Err(i) => Some(self.points[i - 1].1),
         }
+    }
+
+    /// The first instant at or after `at_ns` when the value is below
+    /// `threshold`: `at_ns` itself if the value in force then already
+    /// is, else the first later point below it. This is the Fig. 3
+    /// reaction rule (threshold 0.5 on the degraded backend's weight).
+    pub fn first_below(&self, at_ns: u64, threshold: f64) -> Option<u64> {
+        if self.value_at(at_ns).is_some_and(|v| v < threshold) {
+            return Some(at_ns);
+        }
+        self.points
+            .iter()
+            .find(|&&(t, v)| t > at_ns && v < threshold)
+            .map(|&(t, _)| t)
     }
 
     /// The first time the value satisfies `pred` at or after `t_ns`.

@@ -82,9 +82,8 @@ fn chaos_trace_hash(seed: u64) -> (u64, usize) {
 /// (which must not perturb the packet schedule — gossip is pure
 /// control-plane state).
 fn multilb_trace_hash(seed: u64, sim_ms: u64) -> (u64, usize) {
-    use experiments::multilb::{
-        build_multilb_cluster, run_multilb_cluster, GossipParams, MultiLbConfig,
-    };
+    use experiments::multilb::{GossipParams, MultiLbConfig};
+    use experiments::scenario::{build, drive};
     let cfg = MultiLbConfig {
         n_lbs: 4,
         duration: Duration::from_millis(sim_ms),
@@ -95,9 +94,10 @@ fn multilb_trace_hash(seed: u64, sim_ms: u64) -> (u64, usize) {
         journal: telemetry::JournalMode::Off,
         seed,
     };
-    let mut cluster = build_multilb_cluster(&cfg);
+    let sc = cfg.scenario();
+    let mut cluster = build(&sc, cfg.journal);
     cluster.sim.enable_trace(1 << 21);
-    run_multilb_cluster(&mut cluster, &cfg);
+    drive(&mut cluster, &sc);
     fold_trace(&cluster.sim)
 }
 

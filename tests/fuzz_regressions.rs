@@ -12,7 +12,7 @@
 //! round-trips exactly — both are load-bearing for the committed cases
 //! staying meaningful across sessions.
 
-use scenariofuzz::{check, Scenario};
+use scenariofuzz::{check, generate, Scenario};
 
 /// Directory of committed minimized cases (relative to the repo root,
 /// which is where `cargo test` runs integration tests).
@@ -67,12 +67,8 @@ fn committed_cases_round_trip_byte_exactly() {
 #[test]
 fn generator_is_stable_and_serializable_over_the_smoke_range() {
     for seed in 0..50u64 {
-        let sc = Scenario::generate(seed);
-        assert_eq!(
-            sc,
-            Scenario::generate(seed),
-            "seed {seed} not deterministic"
-        );
+        let sc = generate(seed);
+        assert_eq!(sc, generate(seed), "seed {seed} not deterministic");
         sc.validate()
             .unwrap_or_else(|e| panic!("seed {seed} invalid: {e}"));
         let back = Scenario::from_text(&sc.to_text())

@@ -12,9 +12,8 @@
 //!   `fig3::run_fig3_aware` on the same parameters, bit for bit.
 
 use experiments::fig3::{run_fig3_aware, Fig3Config};
-use experiments::multilb::{
-    build_multilb_cluster, run_multilb, run_multilb_cluster, MultiLbConfig,
-};
+use experiments::multilb::{run_multilb, MultiLbConfig};
+use experiments::scenario::{build, drive};
 use experiments::topology::{KvCluster, KvClusterConfig, VIP};
 use lb_dataplane::LbConfig;
 use lbcore::AlphaShift;
@@ -73,9 +72,10 @@ fn multilb_n1_trace_hash(seed: u64, sim_ms: u64) -> (u64, usize) {
         journal: telemetry::JournalMode::Off,
         seed,
     };
-    let mut cluster = build_multilb_cluster(&cfg);
+    let sc = cfg.scenario();
+    let mut cluster = build(&sc, cfg.journal);
     cluster.sim.enable_trace(1 << 21);
-    run_multilb_cluster(&mut cluster, &cfg);
+    drive(&mut cluster, &sc);
     fold_trace(&cluster.sim)
 }
 

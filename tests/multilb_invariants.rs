@@ -15,9 +15,8 @@
 
 use std::collections::BTreeSet;
 
-use experiments::multilb::{
-    build_multilb_cluster, run_multilb_cluster, GossipParams, MultiLbConfig,
-};
+use experiments::multilb::{GossipParams, MultiLbConfig};
+use experiments::scenario::{build, drive};
 use netsim::Duration;
 
 fn invariant_cfg(gossip: Option<GossipParams>) -> MultiLbConfig {
@@ -36,8 +35,9 @@ fn invariant_cfg(gossip: Option<GossipParams>) -> MultiLbConfig {
 #[test]
 fn no_cross_shard_feedback_leakage_without_gossip() {
     let cfg = invariant_cfg(None);
-    let mut cluster = build_multilb_cluster(&cfg);
-    run_multilb_cluster(&mut cluster, &cfg);
+    let sc = cfg.scenario();
+    let mut cluster = build(&sc, cfg.journal);
+    drive(&mut cluster, &sc);
 
     let arms = cluster.lb_arms.clone();
     assert_eq!(arms.len(), 4);
@@ -80,8 +80,9 @@ fn no_cross_shard_feedback_leakage_without_gossip() {
 fn gossip_merges_stay_normalized_and_pull_shards_together() {
     let run = |gossip: Option<GossipParams>| {
         let cfg = invariant_cfg(gossip);
-        let mut cluster = build_multilb_cluster(&cfg);
-        run_multilb_cluster(&mut cluster, &cfg);
+        let sc = cfg.scenario();
+        let mut cluster = build(&sc, cfg.journal);
+        drive(&mut cluster, &sc);
         let merges: u64 = (0..cfg.n_lbs)
             .map(|i| cluster.lb_node_i(i).stats().gossip_merges)
             .sum();
